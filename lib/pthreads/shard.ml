@@ -11,7 +11,9 @@ open Types
 
    - one qlock-guarded message inbox per shard (spawns homed there,
      wakeups of threads parked there, fanned-out signal posts),
-   - the qlock carried by every cross-shard [handle], and
+   - the qlock carried by every cross-shard [handle],
+   - one pool mutex with a condition per shard, where idle domains park,
+     and
    - a few atomic counters (in-flight tasks, steal statistics).
 
    Each shard's main thread (tid 0) runs the {e service loop}: it drains
@@ -19,22 +21,30 @@ open Types
    [Pthread.create], performs [Wake]/[Post] requests inside its own
    kernel, and parks [Blocked (On_shared _)] when idle.  The shard's
    backend is wrapped so that the checkpoint pump unparks the service
-   thread when messages are queued, and the idle [wait] never declares
-   deadlock while the pool is live — more work can always arrive from
-   another shard.
+   thread when messages are queued.
+
+   An idle shard does not poll, just as the paper's library process
+   blocks in the UNIX kernel until the SIGIO doorbell rings.  Its wait
+   seam lets the backend wait for the real deadline (the virtual clock
+   jumps there; the unix loop blocks in select), and only when the
+   backend has nothing that could ever wake it does the domain park on
+   its condition.  Every inbox push rings the target shard: it signals
+   the condition and calls the backend's [wake] doorbell, which ends a
+   blocked select.
 
    Work migrates only by stealing, and only work that has not started:
    an idle shard with no ready threads takes up to half of the [Spawn]
-   messages queued at a busy shard.  A spawned closure is inert until
-   the service loop creates its thread, so migration never moves a TCB,
-   a wait-queue entry or a timer between engines.
+   messages queued at a busy shard, and a spawn queued at a busy shard
+   rings one idle shard to come and take it.  A spawned closure is inert
+   until the service loop creates its thread, so migration never moves a
+   TCB, a wait-queue entry or a timer between engines.
 
    What this buys: the deterministic single-domain engine is untouched
    (parallel mode is a layer above it, selected by [run_parallel]), and
-   per-shard kernel flags fall out by construction.  What it costs: the
-   shards' clocks tick independently (virtual clocks drift apart), and
-   the vm backend's deadlock proof does not extend across shards — a
-   cross-shard await cycle hangs rather than raising [Process_stopped]. *)
+   per-shard kernel flags fall out by construction.  A pool whose shards
+   are all parked with every inbox empty can never make progress again,
+   so it reports the deadlock as a single engine would.  What it costs:
+   the shards' clocks tick independently (virtual clocks drift apart). *)
 
 (* ------------------------------------------------------------------ *)
 (* Handles                                                             *)
@@ -76,6 +86,12 @@ type shard = {
   s_inbox : message Queue.t;  (* guarded by s_lock *)
   s_msgs : int Atomic.t;  (* queued messages: lock-free emptiness probe *)
   s_spawns : int Atomic.t;  (* queued [Spawn]s: lock-free steal probe *)
+  s_idle : bool Atomic.t;  (* in the idle wait seam: a push must ring *)
+  mutable s_parked : bool;  (* blocked on [s_bell]; guarded by [p_park] *)
+  s_bell : Condition.t;
+  mutable s_wake : unit -> unit;
+      (* the backend's doorbell; set before the shard's first idle wait,
+         so a pusher that saw [s_idle] set also sees it *)
   mutable s_engine : engine option;
       (* written by the shard's own domain before its scheduler starts;
          only ever read from that domain (and, after the joins, by the
@@ -87,6 +103,7 @@ type shard = {
 
 type pool = {
   p_shards : shard array;
+  p_park : Stdlib.Mutex.t;  (* guards every [s_parked] and the deadlock verdict *)
   p_in_flight : int Atomic.t;  (* tasks spawned and not yet completed *)
   p_finished : bool Atomic.t;
   p_next_home : int Atomic.t;  (* round-robin home assignment *)
@@ -122,37 +139,62 @@ let make_pool n =
             s_inbox = Queue.create ();
             s_msgs = Atomic.make 0;
             s_spawns = Atomic.make 0;
+            s_idle = Atomic.make false;
+            s_parked = false;
+            s_bell = Condition.create ();
+            s_wake = ignore;
             s_engine = None;
             s_steals = Atomic.make 0;
             s_remote_wakes = Atomic.make 0;
             s_tasks = Atomic.make 0;
           });
+    p_park = Stdlib.Mutex.create ();
     p_in_flight = Atomic.make 0;
     p_finished = Atomic.make false;
     p_next_home = Atomic.make 0;
     p_error = Atomic.make None;
   }
 
-let push_msg shard msg =
+(* Wake [shard]'s domain if it is in its idle seam: signal its condition
+   (it may be parked there) and ring its backend's doorbell (it may be
+   blocked in select).  The caller has already published what ends the
+   idleness, and a shard marks itself idle before it looks, so a shard
+   that is not idle yet will see it. *)
+let ring pool shard =
+  if Atomic.get shard.s_idle then begin
+    Stdlib.Mutex.protect pool.p_park (fun () -> Condition.signal shard.s_bell);
+    shard.s_wake ()
+  end
+
+let push_msg pool shard msg =
   Qlock.with_lock shard.s_lock (fun () ->
       Queue.push msg shard.s_inbox;
       Atomic.incr shard.s_msgs;
-      match msg with Spawn _ -> Atomic.incr shard.s_spawns | _ -> ())
+      match msg with Spawn _ -> Atomic.incr shard.s_spawns | _ -> ());
+  ring pool shard;
+  match msg with
+  | Spawn _ when not (Atomic.get shard.s_idle) -> (
+      (* queued at a busy shard, the spawn is stealable: ring one idle
+         shard to come and take it *)
+      match
+        Array.find_opt
+          (fun s -> s != shard && Atomic.get s.s_idle)
+          pool.p_shards
+      with
+      | Some s -> ring pool s
+      | None -> ())
+  | _ -> ()
 
-let drain_inbox shard =
-  if Atomic.get shard.s_msgs = 0 then []
-  else
+(* Move the whole inbox into [batch] under one lock acquisition. *)
+let drain_inbox shard batch =
+  if Atomic.get shard.s_msgs > 0 then
     Qlock.with_lock shard.s_lock (fun () ->
-        let out = ref [] in
-        while not (Queue.is_empty shard.s_inbox) do
-          let m = Queue.pop shard.s_inbox in
-          Atomic.decr shard.s_msgs;
-          (match m with Spawn _ -> Atomic.decr shard.s_spawns | _ -> ());
-          out := m :: !out
-        done;
-        List.rev !out)
+        Queue.transfer shard.s_inbox batch;
+        Atomic.set shard.s_msgs 0;
+        Atomic.set shard.s_spawns 0)
 
-let broadcast_stop pool = Array.iter (fun s -> push_msg s Stop) pool.p_shards
+let broadcast_stop pool =
+  Array.iter (fun s -> push_msg pool s Stop) pool.p_shards
 
 (* Fail the whole pool: remember the first error, then drain every shard
    so parked service threads wake up, notice the flag and exit. *)
@@ -168,20 +210,22 @@ let fail_pool pool e =
 let inbox_reason = "shard:inbox"
 let await_reason = "shard:await"
 
-(* Unpark the service thread (tid 0) if it is parked on its inbox.
-   Called from the pump/wait seams of the shard's own domain — the same
-   context the signal-delivery path unblocks sigwaiters from. *)
+(* Unpark the service thread (tid 0) if it is parked on its inbox, and
+   say whether it was.  Called from the pump/wait seams of the shard's
+   own domain — the same context the signal-delivery path unblocks
+   sigwaiters from. *)
 let unpark_service shard =
   match shard.s_engine with
-  | None -> ()
+  | None -> false
   | Some eng -> (
       match Engine.find_thread eng 0 with
       | Some t -> (
           match t.state with
           | Blocked (On_shared r) when String.equal r inbox_reason ->
-              Engine.unblock eng t Wake_normal
-          | _ -> ())
-      | None -> ())
+              Engine.unblock eng t Wake_normal;
+              true
+          | _ -> false)
+      | None -> false)
 
 (* Wake a thread of [proc]'s own engine parked in [await].  Caller is a
    green thread outside the kernel. *)
@@ -222,7 +266,7 @@ let fulfill proc h status =
               if six = shard.s_index then wake_local proc tid
               else begin
                 Atomic.incr shard.s_remote_wakes;
-                push_msg pool.p_shards.(six) (Wake tid)
+                push_msg pool pool.p_shards.(six) (Wake tid)
               end)
             (List.rev ws))
 
@@ -320,7 +364,7 @@ let spawn ?attr ?home proc f =
       in
       let home = ((home mod n) + n) mod n in
       Atomic.incr pool.p_in_flight;
-      push_msg pool.p_shards.(home)
+      push_msg pool pool.p_shards.(home)
         (Spawn { t_home = home; t_attr = attr; t_run = f; t_handle = h }));
   h
 
@@ -383,15 +427,6 @@ let try_steal pool thief =
 (* The service loop                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Steal only when this shard is otherwise idle: if another local thread
-   is ready, run it rather than import more work. *)
-let others_ready proc =
-  let self = Engine.current proc in
-  Engine.fold_threads proc
-    (fun acc t ->
-      acc || ((not (t == self)) && match t.state with Ready -> true | _ -> false))
-    false
-
 let handle_msg pool shard proc = function
   | Spawn task -> start_task pool shard proc task
   | Wake tid -> wake_local proc tid
@@ -415,65 +450,87 @@ let park pool proc shard =
     Engine.drain_fake_calls proc
   end
 
-let rec service pool shard proc =
-  match drain_inbox shard with
-  | [] ->
-      if Atomic.get pool.p_finished then ()
-      else begin
-        (match if others_ready proc then [] else try_steal pool shard with
-        | [] -> park pool proc shard
-        | stolen -> List.iter (start_task pool shard proc) stolen);
-        service pool shard proc
-      end
-  | msgs ->
-      List.iter (handle_msg pool shard proc) msgs;
-      service pool shard proc
+let service pool shard proc =
+  let batch = Queue.create () in
+  let rec loop () =
+    drain_inbox shard batch;
+    if not (Queue.is_empty batch) then begin
+      Queue.iter (handle_msg pool shard proc) batch;
+      Queue.clear batch;
+      loop ()
+    end
+    else if not (Atomic.get pool.p_finished) then begin
+      (* steal only when otherwise idle: if another local thread is ready
+         (the running service thread is never queued), run it rather than
+         import more work *)
+      (match
+         if Ready_queue.size proc > 0 then [] else try_steal pool shard
+       with
+      | [] -> park pool proc shard
+      | stolen -> List.iter (start_task pool shard proc) stolen);
+      loop ()
+    end
+  in
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* The backend seams                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* How far an idle shard lets its backend sleep (or its virtual clock
-   advance) before re-probing the inbox and the steal counters. *)
-let poll_quantum_ns = 100_000
+(* Something ended the shard's idleness: a queued message, stealable
+   work elsewhere, or the pool draining (the service thread must see the
+   flag and exit). *)
+let woken pool shard =
+  Atomic.get shard.s_msgs > 0
+  || Atomic.get pool.p_finished
+  || stealable pool shard
+
+(* Block the domain until [woken]; [false] reports a cross-shard
+   deadlock.  Decided under the pool mutex: a parked domain has no
+   deadline and no event source of its own, and only a running domain
+   can push, so once every shard is parked with every inbox empty
+   nothing can ever arrive. *)
+let park_domain pool shard =
+  Stdlib.Mutex.protect pool.p_park (fun () ->
+      shard.s_parked <- true;
+      let rec sleep () =
+        if woken pool shard then true
+        else if
+          Array.for_all
+            (fun s -> s.s_parked && Atomic.get s.s_msgs = 0)
+            pool.p_shards
+        then false
+        else begin
+          Condition.wait shard.s_bell pool.p_park;
+          sleep ()
+        end
+      in
+      let live = sleep () in
+      shard.s_parked <- false;
+      live)
 
 let wrap_backend pool shard (inner : Backend.t) =
   let pump () =
     inner.Backend.pump ();
     if Atomic.get shard.s_msgs > 0 || Atomic.get pool.p_finished then
-      unpark_service shard
+      ignore (unpark_service shard : bool)
   in
   let wait ~deadline_ns =
-    if Atomic.get shard.s_msgs > 0 then begin
-      unpark_service shard;
-      true
-    end
-    else if Atomic.get pool.p_finished then
-      (* the pool has drained: only local stragglers remain, so the
-         backend's own semantics (including the vm deadlock proof) apply *)
-      inner.Backend.wait ~deadline_ns
-    else if stealable pool shard then begin
-      unpark_service shard;
-      true
-    end
-    else begin
-      (* idle but the pool is live: work can still arrive from another
-         shard, so never report deadlock — sleep at most a quantum and
-         re-probe.  On the vm backend this advances the shard's private
-         clock; shard clocks drift apart by design. *)
-      let quantum = Unix_kernel.now inner.Backend.kernel + poll_quantum_ns in
-      let d =
-        match deadline_ns with Some d -> min d quantum | None -> quantum
-      in
-      ignore (inner.Backend.wait ~deadline_ns:(Some d) : bool);
-      (* the virtual wait is a clock jump, not a host sleep: without a
-         nap an idle shard polls its inbox at full host speed, starving
-         the busy shards on an oversubscribed machine *)
-      (match inner.Backend.kind with
-      | Backend.Virtual -> Vm.Real_clock.nap ()
-      | Backend.Unix_loop -> ());
-      true
-    end
+    Atomic.set shard.s_idle true;
+    let progress =
+      (* what woke the shard is the service thread's to handle;
+         otherwise the backend waits for the real deadline, and with
+         nothing that could wake the backend the domain parks — unless
+         the pool drained meanwhile, when only the service thread can
+         still have work *)
+      (woken pool shard && unpark_service shard)
+      || inner.Backend.wait ~deadline_ns
+      ||
+      if Atomic.get pool.p_finished then unpark_service shard
+      else park_domain pool shard
+    in
+    Atomic.set shard.s_idle false;
+    progress
   in
   { inner with Backend.pump; wait }
 
@@ -543,7 +600,7 @@ let run_parallel ~domains ?backend_for ?profile ?policy ?seed ?use_pool ?trace
   let pool = make_pool domains in
   let root = make_handle () in
   Atomic.set pool.p_in_flight 1;
-  push_msg pool.p_shards.(0)
+  push_msg pool pool.p_shards.(0)
     (Spawn
        {
          t_home = 0;
@@ -554,6 +611,7 @@ let run_parallel ~domains ?backend_for ?profile ?policy ?seed ?use_pool ?trace
   let shard_main i () =
     let shard = pool.p_shards.(i) in
     let inner = backend_for i in
+    shard.s_wake <- inner.Backend.wake;
     let backend = wrap_backend pool shard inner in
     let eng =
       Pthread.make_proc ~backend ?profile ?policy ?seed ?use_pool ?trace
@@ -619,5 +677,5 @@ let post_all proc signo =
       Array.iter
         (fun s ->
           if s == shard then Engine.post_external proc signo ()
-          else push_msg s (Post signo))
+          else push_msg pool s (Post signo))
         pool.p_shards

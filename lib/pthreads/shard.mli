@@ -17,10 +17,17 @@
 
     The deterministic single-domain engine is untouched by all of this:
     parallel mode is a layer above it, entered only through
-    {!run_parallel} (or [Pthreads.run ~domains]).  Limitations, by
-    design: shard virtual clocks drift independently, and the virtual
-    backend's deadlock proof does not extend across shards (a
-    cross-shard await cycle hangs instead of raising). *)
+    {!run_parallel} (or [Pthreads.run ~domains]).
+
+    An idle shard never polls: its backend waits for the next deadline
+    (a virtual clock jump, or a unix [select]), and with none it parks
+    its domain until another shard queues a message for it, which rings
+    the backend's [wake] doorbell.  When every shard is parked with
+    every inbox empty, the pool fails with [Process_stopped (Deadlock _)]
+    as a single engine does.  A shard blocked in a unix backend's
+    [select] counts as live, since a host signal or an fd could still
+    wake it: there, as on a single unix engine, a cross-shard await
+    cycle blocks.  Shard virtual clocks drift independently. *)
 
 type handle
 (** The cross-shard future of a spawned task's exit status. *)
@@ -53,7 +60,8 @@ val run_parallel :
     backends hold OS resources and must not be shared, hence a factory
     (default: a fresh virtual backend per shard).  The first shard
     failure ([Process_stopped], an escaped exception) drains the pool
-    and is re-raised here.
+    and is re-raised here; a pool whose shards are all parked with empty
+    inboxes fails with [Process_stopped (Deadlock _)].
     @raise Invalid_argument if [domains < 2]. *)
 
 val spawn :

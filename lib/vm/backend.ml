@@ -57,6 +57,7 @@ type t = {
   kernel : Unix_kernel.t;
   pump : unit -> unit;
   wait : deadline_ns:int option -> bool;
+  wake : unit -> unit;
   net : net_ops option;
   shutdown : unit -> unit;
 }
@@ -75,6 +76,8 @@ let virtual_ ?clock profile =
             Clock.advance_to clk t_ns;
             true
         | None -> false);
+    (* the virtual wait never blocks, so there is nothing to end *)
+    wake = (fun () -> ());
     net = None;
     shutdown = (fun () -> ());
   }

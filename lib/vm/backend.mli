@@ -25,7 +25,11 @@
       {!Unix_kernel.check_events}, to import external events;
     - {!t.wait} runs when every thread is blocked, to sleep until the next
       event.  The virtual closure advances the clock to the deadline; the
-      Unix closure blocks in [select]. *)
+      Unix closure blocks in [select].
+
+    A third entry, {!t.wake}, is for other domains: it ends a blocked
+    [wait] (the multi-core shard layer rings it when it queues work for
+    an idle shard). *)
 
 (** The kernel surface the engine consumes.  {!Unix_kernel} satisfies it
     (checked by a conformance functor application in the implementation);
@@ -105,6 +109,11 @@ type t = {
           progress is possible afterwards (the clock reached the deadline,
           or an external event arrived); [false] means provable deadlock:
           no deadline, and no external event can ever arrive. *)
+  wake : unit -> unit;
+      (** The doorbell: callable from any domain, it makes a blocked or
+          the next [wait] return [true].  It does not count as an
+          external event source for [wait]'s deadlock verdict.  No-op on
+          the virtual backend, whose [wait] never blocks. *)
   net : net_ops option;  (** [Some] on backends with real sockets. *)
   shutdown : unit -> unit;
       (** Release OS resources (fds, host signal handlers).  Idempotent.

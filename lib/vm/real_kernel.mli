@@ -11,6 +11,9 @@
     - Host signals listed in [forward_signals] are caught with
       [Sys.set_signal] and re-posted into the simulated process signal
       state as [origin External].
+    - A self-pipe doorbell sits in every idle [select]: [wake] (from any
+      domain) and the forwarded-signal handlers write it, so an idle
+      [wait] with no deadline blocks until an fd, a signal or a wake.
     - Sockets are nonblocking loopback TCP, exposed as the
       {!Backend.net_ops} small-int handles.
 

@@ -219,6 +219,40 @@ module Battery (B : BACKEND) = struct
       && not (Unix_kernel.take_io_completion k ~requester:9));
     b.Backend.shutdown ()
 
+  (* The doorbell: [wake] from another domain ends a blocked unix [wait]
+     long before its deadline.  The virtual [wait] never blocks, so there
+     [wake] changes nothing: the clock still jumps to the deadline, and no
+     deadline is still deadlock. *)
+  let test_wake () =
+    let b = B.make () in
+    let k = b.Backend.kernel in
+    let far = Unix_kernel.now k + 5_000_000_000 in
+    let waker =
+      Domain.spawn (fun () ->
+          Unix.sleepf 0.02;
+          b.Backend.wake ())
+    in
+    let t0 = Vm.Real_clock.now_ns () in
+    let progress = b.Backend.wait ~deadline_ns:(Some far) in
+    let waited = Vm.Real_clock.now_ns () - t0 in
+    Domain.join waker;
+    check bool (B.name ^ ": wait reports progress") true progress;
+    if B.realtime then
+      check bool
+        (Printf.sprintf "%s: woken early (%.1f ms)" B.name
+           (float_of_int waited /. 1e6))
+        true (waited < 1_000_000_000)
+    else begin
+      check int (B.name ^ ": clock jumped to the deadline") far
+        (Unix_kernel.now k);
+      b.Backend.wake ();
+      check bool
+        (B.name ^ ": no deadline is still deadlock")
+        false
+        (b.Backend.wait ~deadline_ns:None)
+    end;
+    b.Backend.shutdown ()
+
   let test_echo () =
     let n_clients = 4 and msgs = 3 in
     let ok = echo_roundtrips (B.make ()) ~n_clients ~msgs in
@@ -233,6 +267,7 @@ module Battery (B : BACKEND) = struct
       tc (B.name ^ " backend: SIGIO collapse (one pending slot)")
         test_sigio_collapse;
       tc (B.name ^ " backend: echo server smoke") test_echo;
+      tc (B.name ^ " backend: wake") test_wake;
     ]
 end
 
@@ -312,6 +347,39 @@ let test_unix_host_signal_forwarding () =
   | _ -> Alcotest.fail "forwarding process did not exit cleanly");
   check int "host SIGUSR1 forwarded and handled" 1 !hits
 
+(* Unix backend: a forwarded host signal rings the doorbell.  The engine
+   idles in select with no deadline and no fd; whichever domain's thread
+   the host hands SIGUSR1 to, the sigwaiter must have it within 50 ms. *)
+let test_unix_idle_signal_rings_doorbell () =
+  let sent = Atomic.make 0 in
+  let status, latency =
+    within ~seconds:10. (fun () ->
+        let latency = ref max_int in
+        let status, _ =
+          Pthreads.run ~backend:(Pthreads.unix_backend ()) (fun proc ->
+              let usr1 = Sigset.singleton Sigset.sigusr1 in
+              ignore (Signal_api.set_mask proc `Block usr1 : Sigset.t);
+              let killer =
+                Domain.spawn (fun () ->
+                    Unix.sleepf 0.02;
+                    Atomic.set sent (Vm.Real_clock.now_ns ());
+                    Unix.kill (Unix.getpid ()) Sys.sigusr1)
+              in
+              let s = Signal_api.sigwait proc usr1 in
+              latency := Vm.Real_clock.now_ns () - Atomic.get sent;
+              Domain.join killer;
+              if s = Sigset.sigusr1 then 0 else 1)
+        in
+        (status, !latency))
+  in
+  (match status with
+  | Some (Types.Exited 0) -> ()
+  | _ -> Alcotest.fail "sigwait process did not exit cleanly");
+  check bool
+    (Printf.sprintf "SIGUSR1 handled within 50 ms (%.1f ms)"
+       (float_of_int latency /. 1e6))
+    true (latency < 50_000_000)
+
 let suite =
   [
     ( "backend",
@@ -322,5 +390,7 @@ let suite =
           tc "vm: concurrent echo run is deterministic"
             test_vm_echo_deterministic;
           tc "unix: host signal forwarding" test_unix_host_signal_forwarding;
+          tc "unix: idle host signal rings the doorbell"
+            test_unix_idle_signal_rings_doorbell;
         ] );
   ]

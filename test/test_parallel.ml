@@ -371,6 +371,123 @@ let test_post_all_reaches_every_shard () =
   in
   check exit_status "root exit" (Types.Exited 0) o.Shard.status
 
+(* -------------------------------------------------------------- *)
+(* Idle shards park; pushes, steals and the doorbell wake them     *)
+(* -------------------------------------------------------------- *)
+
+(* Pool shutdown: the last [task_done] sets the finished flag before it
+   queues [Stop], so a shard can see the flag while its service thread
+   is still parked.  The idle seam must unpark it rather than let the
+   plain virtual backend report a deadlock. *)
+let test_pool_shutdown_no_false_deadlock () =
+  let stopped = ref 0 in
+  for i = 1 to 200 do
+    match
+      Shard.run_parallel ~domains:2
+        ~backend_for:(fun _ -> Vm.Backend.virtual_ Vm.Cost_model.free)
+        (fun proc ->
+          List.init 2 (fun k -> Shard.spawn proc ~home:k (fun _ -> i + k))
+          |> List.iter (fun h -> ignore (Shard.await proc h));
+          0)
+    with
+    | _ -> ()
+    | exception Types.Process_stopped _ -> incr stopped
+  done;
+  check int "pools ending in Process_stopped" 0 !stopped
+
+(* A two-shard await cycle: every shard ends up parked with an empty
+   inbox, which the pool reports instead of hanging. *)
+let test_cross_shard_deadlock_raises () =
+  let verdict =
+    within ~seconds:10. (fun () ->
+        match
+          Shard.run_parallel ~domains:2 (fun proc ->
+              let ha = Atomic.make None and hb = Atomic.make None in
+              let rec get cell p =
+                match Atomic.get cell with
+                | Some h -> h
+                | None ->
+                    Pthread.yield p;
+                    get cell p
+              in
+              let a =
+                Shard.spawn proc ~home:1 (fun p ->
+                    ignore (Shard.await p (get hb p));
+                    0)
+              in
+              Atomic.set ha (Some a);
+              let b =
+                Shard.spawn proc ~home:0 (fun p ->
+                    ignore (Shard.await p (get ha p));
+                    0)
+              in
+              Atomic.set hb (Some b);
+              ignore (Shard.await proc a);
+              0)
+        with
+        | _ -> None
+        | exception Types.Process_stopped (Types.Deadlock msg) -> Some msg)
+  in
+  if verdict = None then Alcotest.fail "the await cycle completed"
+
+(* Busy-wait on the host clock without a checkpoint, so the calling
+   shard's service thread cannot run meanwhile. *)
+let spin_until ~ns stop =
+  let t0 = Vm.Real_clock.now_ns () in
+  while (not (stop ())) && Vm.Real_clock.now_ns () - t0 < ns do
+    Domain.cpu_relax ()
+  done
+
+(* A shard parked with no threads and no timers is rung by a burst of
+   spawns queued at a busy shard, and steals from it. *)
+let test_parked_shard_steals_burst () =
+  let before = ref 0 in
+  let o =
+    Shard.run_parallel ~domains:2 (fun proc ->
+        ignore (Shard.await proc (Shard.spawn proc ~home:1 (fun _ -> 0)));
+        (* let shard 1 finish that task and park *)
+        spin_until ~ns:20_000_000 (fun () -> false);
+        before := Shard.steal_count proc;
+        let hs = List.init 16 (fun i -> Shard.spawn proc ~home:0 (fun _ -> i)) in
+        (* shard 0 stays busy: only a steal can start the burst now *)
+        spin_until ~ns:5_000_000_000 (fun () ->
+            Shard.steal_count proc > !before);
+        List.iter (fun h -> ignore (Shard.await proc h)) hs;
+        0)
+  in
+  check exit_status "root exit" (Types.Exited 0) o.Shard.status;
+  if o.Shard.steals <= !before then
+    Alcotest.fail "the parked shard never stole from the burst"
+
+(* Unix shards: the awaiting shard idles in select with no deadline and
+   no fd, so only the doorbell rung by the other shard's [Wake] push can
+   end its wait. *)
+let test_unix_await_woken_by_doorbell () =
+  let done_at = Atomic.make 0 in
+  let status, _ =
+    within ~seconds:10. (fun () ->
+        Pthreads.run ~domains:2
+          ~backend_for:(fun _ -> Pthreads.unix_backend ())
+          (fun proc ->
+            let started = Atomic.make false in
+            let h =
+              Shard.spawn proc ~home:1 (fun p ->
+                  Atomic.set started true;
+                  Pthread.delay p ~ns:20_000_000;
+                  Atomic.set done_at (Vm.Real_clock.now_ns ());
+                  7)
+            in
+            (* once shard 1 runs the task it cannot be stolen back *)
+            spin_until ~ns:5_000_000_000 (fun () -> Atomic.get started);
+            match Shard.await proc h with
+            | Types.Exited 7 ->
+                let lag = Vm.Real_clock.now_ns () - Atomic.get done_at in
+                if lag < 100_000_000 then 0 else 2
+            | _ -> 1))
+  in
+  check (Alcotest.option exit_status) "awaited promptly" (Some (Types.Exited 0))
+    status
+
 let suite =
   [
     ( "parallel",
@@ -383,5 +500,9 @@ let suite =
         tc "homes and cross-shard await" test_homes_and_cross_shard_await;
         tc "task failure propagates" test_task_failure_propagates;
         tc "post_all reaches every shard" test_post_all_reaches_every_shard;
+        tc "pool shutdown: no false deadlock" test_pool_shutdown_no_false_deadlock;
+        tc "cross-shard await cycle raises" test_cross_shard_deadlock_raises;
+        tc "parked shard steals a burst" test_parked_shard_steals_burst;
+        tc "unix await woken by the doorbell" test_unix_await_woken_by_doorbell;
       ] );
   ]

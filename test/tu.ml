@@ -40,6 +40,29 @@ let exit_status : Types.exit_status Alcotest.testable =
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* Run [f] on a fresh domain and fail the test if it has not returned
+   within [seconds] — for code whose regression is a hang rather than a
+   wrong answer.  On a timeout the stuck domain is abandoned. *)
+let within ~seconds f =
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+  in
+  let t0 = Vm.Real_clock.now_s () in
+  let rec poll () =
+    match Atomic.get result with
+    | Some r ->
+        Domain.join d;
+        r
+    | None when Vm.Real_clock.now_s () -. t0 > seconds ->
+        Alcotest.failf "did not finish within %.0f s" seconds
+    | None ->
+        Unix.sleepf 0.002;
+        poll ()
+  in
+  match poll () with Ok v -> v | Error e -> raise e
+
 (* One table of pinned seeds for every randomized suite.  A failure in a
    randomized test must be reproducible from the test output alone, so the
    seed is part of the test name (Alcotest prints it on failure) and a

@@ -52,4 +52,15 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# 5. No sleep-polling in the library: an idle engine or shard blocks until
+#    an event ends the wait (backend [wait], the shard park, the [wake]
+#    doorbell).  The queue lock's bounded-spin backoff is the one
+#    deliberate nap.
+hits=$(grep -rn --include='*.ml' 'Real_clock\.nap' lib/ | grep -v '^lib/pthreads/qlock\.ml:')
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: Real_clock.nap outside lib/pthreads/qlock.ml — block on an event instead of sleep-polling" >&2
+  fail=1
+fi
+
 exit $fail
