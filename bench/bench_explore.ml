@@ -18,7 +18,7 @@
    Prints one human-readable block per measurement plus JSON summary lines
    ("BENCH_explore:" as before, "BENCH_explore_parallel:" and
    "BENCH_explore_pct:" for the new tables).  With --out FILE the new
-   tables are also appended into the top-level JSON object of FILE
+   tables are also written into the top-level JSON object of FILE
    (BENCH_sched.json style).  --gate enforces self-relative floors only —
    2 domains must retain >= 0.5x of the 1-domain schedules/sec and PCT >=
    0.5x of sequential DPOR — because absolute numbers and multi-core
@@ -238,32 +238,6 @@ let json_of_pct (name, dpor_runs, dpor_secs, pct_find, pct_secs, pct_runs, bound
     | None -> "")
 
 (* ------------------------------------------------------------------ *)
-(* JSON append into BENCH_sched.json-style files                       *)
-(* ------------------------------------------------------------------ *)
-
-let append_keys file keys =
-  (* insert the new key/value pairs before the object's trailing brace;
-     a missing file starts a fresh object *)
-  let body =
-    if Sys.file_exists file then begin
-      let ic = open_in_bin file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      String.trim s
-    end
-    else "{}"
-  in
-  let inner = String.sub body 1 (String.length body - 2) in
-  let inner = String.trim inner in
-  let sep = if inner = "" then "" else ",\n" in
-  let oc = open_out_bin file in
-  Printf.fprintf oc "{%s%s%s\n}\n" inner sep
-    (String.concat ",\n"
-       (List.map (fun (k, v) -> Printf.sprintf "  \"%s\": %s" k v) keys));
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let rows = ref [] in
@@ -306,9 +280,9 @@ let () =
   Printf.printf "BENCH_explore_pct: {\"explore_pct\": %s}\n" pct_json;
   (match out_file with
   | Some f ->
-      append_keys f
+      Bench_json.set_keys f
         [ ("explore_parallel", par_json); ("explore_pct", pct_json) ];
-      Printf.printf "appended explore_parallel + explore_pct to %s\n" f
+      Printf.printf "wrote explore_parallel + explore_pct to %s\n" f
   | None -> ());
   if gate then begin
     (* Self-relative floors only, and noise-tolerant: CI runners are often

@@ -11,7 +11,10 @@
                                               sweep, speedup gate on multi-core
      sections: table1 table2 table3 table4 figure5 obs perverted ablation
                scaling sched timers sanitize parallel ada shared blockingio
-               wall *)
+               wall
+
+   The JSON flags write their keys into F's top-level object, replacing
+   those keys and keeping the ones other harnesses wrote (Bench_json). *)
 
 open Pthreads
 module Sigset = Vm.Sigset
@@ -878,14 +881,16 @@ let sched_latency n_threads =
         List.iter (fun t -> ignore (Pthread.join proc t)) ts;
         0)
   in
-  Engine.add_switch_hook eng (fun _ ->
-      let d = !seen in
-      seen := d + 1;
-      if d = !lo then t0 := Vm.Real_clock.now_s ()
-      else if d = !hi then begin
-        t1 := Vm.Real_clock.now_s ();
-        rss_live := host_rss_bytes ()
-      end);
+  Engine.subscribe eng (function
+    | Types.Switch_in _ ->
+        let d = !seen in
+        seen := d + 1;
+        if d = !lo then t0 := Vm.Real_clock.now_s ()
+        else if d = !hi then begin
+          t1 := Vm.Real_clock.now_s ();
+          rss_live := host_rss_bytes ()
+        end
+    | _ -> ());
   Pthread.start eng;
   let heap = eng.Types.heap in
   {
@@ -1040,11 +1045,13 @@ let san_latency ~sanitize n_threads =
         0)
   in
   let mon = if sanitize then Some (Sanitize.Monitor.attach eng) else None in
-  Engine.add_switch_hook eng (fun _ ->
-      let d = !seen in
-      seen := d + 1;
-      if d = !lo then t0 := Vm.Real_clock.now_s ()
-      else if d = !hi then t1 := Vm.Real_clock.now_s ());
+  Engine.subscribe eng (function
+    | Types.Switch_in _ ->
+        let d = !seen in
+        seen := d + 1;
+        if d = !lo then t0 := Vm.Real_clock.now_s ()
+        else if d = !hi then t1 := Vm.Real_clock.now_s ()
+    | _ -> ());
   Pthread.start eng;
   (match mon with
   | Some m ->
@@ -1212,83 +1219,75 @@ let json_opt_f = function
   | Some v -> Printf.sprintf "%.1f" v
   | None -> "null"
 
+let sched_row_json r =
+  Printf.sprintf
+    "{\"threads\": %d, \"ns_per_dispatch\": %.1f, \"dispatches\": %d, \
+     \"bytes_per_thread\": %d, \"host_bytes_per_thread\": %d, \
+     \"timers_armed_peak\": %d}"
+    r.sr_threads r.sr_ns_per_dispatch r.sr_dispatches r.sr_bytes_per_thread
+    r.sr_host_bytes_per_thread r.sr_timers_peak
+
+let write_keys file keys =
+  Bench_json.set_keys file keys;
+  Printf.printf "wrote %s\n%!" file
+
 let write_json file =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"table2\": [\n";
-  let n_rows = List.length Metrics.rows in
-  List.iteri
-    (fun i (r : Metrics.row) ->
-      let meas_1plus = r.measure Cost_model.sparc_1plus in
-      let meas_ipx = r.measure Cost_model.sparc_ipx in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"metric\": \"%s\", \"published_sun_1plus_us\": %s, \
-            \"published_1plus_us\": %s, \"published_ipx_us\": %s, \
-            \"published_lynx_ipx_us\": %s, \"measured_sparc_1plus_us\": %.3f, \
-            \"measured_sparc_ipx_us\": %.3f}%s\n"
-           (json_escape r.metric) (json_opt_f r.sun_1plus)
-           (json_opt_f r.paper_1plus) (json_opt_f r.paper_ipx)
-           (json_opt_f r.lynx_ipx) meas_1plus meas_ipx
-           (if i = n_rows - 1 then "" else ",")))
-    Metrics.rows;
-  Buffer.add_string buf "  ],\n  \"sched_scaling\": [\n";
-  let n_counts = List.length sched_thread_counts in
-  List.iteri
-    (fun i n ->
-      let r = sched_latency n in
-      pp_sched_row r;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"threads\": %d, \"ns_per_dispatch\": %.1f, \"dispatches\": \
-            %d, \"bytes_per_thread\": %d, \"host_bytes_per_thread\": %d, \
-            \"timers_armed_peak\": %d}%s\n"
-           r.sr_threads r.sr_ns_per_dispatch r.sr_dispatches
-           r.sr_bytes_per_thread r.sr_host_bytes_per_thread r.sr_timers_peak
-           (if i = n_counts - 1 then "" else ",")))
-    sched_thread_counts;
-  Buffer.add_string buf "  ],\n  \"timers_scaling\": [\n";
-  let n_tcounts = List.length timer_counts in
-  List.iteri
-    (fun i n ->
-      let r = timer_latency n in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"timers\": %d, \"ns_per_op\": %.1f, \"fired\": %d, \
-            \"delivered\": %d, \"peak_armed\": %d, \"cascades\": %d}%s\n"
-           r.tr_timers r.tr_ns_per_op r.tr_fired r.tr_delivered
-           r.tr_peak_armed r.tr_cascades
-           (if i = n_tcounts - 1 then "" else ",")))
-    timer_counts;
-  Buffer.add_string buf "  ],\n  \"sanitize\": [\n";
-  let n_scounts = List.length san_thread_counts in
-  List.iteri
-    (fun i n ->
-      let r = san_overhead n in
-      pp_san_row r;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"threads\": %d, \"ns_per_dispatch_off\": %.1f, \
-            \"ns_per_dispatch_on\": %.1f, \"overhead\": %.2f}%s\n"
-           r.xr_threads r.xr_ns_off r.xr_ns_on r.xr_overhead
-           (if i = n_scounts - 1 then "" else ",")))
-    san_thread_counts;
-  Buffer.add_string buf "  ],\n  \"parallel_scaling\": [\n";
+  let table2 =
+    List.map
+      (fun (r : Metrics.row) ->
+        let meas_1plus = r.measure Cost_model.sparc_1plus in
+        let meas_ipx = r.measure Cost_model.sparc_ipx in
+        Printf.sprintf
+          "{\"metric\": \"%s\", \"published_sun_1plus_us\": %s, \
+           \"published_1plus_us\": %s, \"published_ipx_us\": %s, \
+           \"published_lynx_ipx_us\": %s, \"measured_sparc_1plus_us\": %.3f, \
+           \"measured_sparc_ipx_us\": %.3f}"
+          (json_escape r.metric) (json_opt_f r.sun_1plus)
+          (json_opt_f r.paper_1plus) (json_opt_f r.paper_ipx)
+          (json_opt_f r.lynx_ipx) meas_1plus meas_ipx)
+      Metrics.rows
+  in
+  let sched =
+    List.map
+      (fun n ->
+        let r = sched_latency n in
+        pp_sched_row r;
+        sched_row_json r)
+      sched_thread_counts
+  in
+  let timers =
+    List.map
+      (fun n ->
+        let r = timer_latency n in
+        Printf.sprintf
+          "{\"timers\": %d, \"ns_per_op\": %.1f, \"fired\": %d, \
+           \"delivered\": %d, \"peak_armed\": %d, \"cascades\": %d}"
+          r.tr_timers r.tr_ns_per_op r.tr_fired r.tr_delivered r.tr_peak_armed
+          r.tr_cascades)
+      timer_counts
+  in
+  let sanitize =
+    List.map
+      (fun n ->
+        let r = san_overhead n in
+        pp_san_row r;
+        Printf.sprintf
+          "{\"threads\": %d, \"ns_per_dispatch_off\": %.1f, \
+           \"ns_per_dispatch_on\": %.1f, \"overhead\": %.2f}"
+          r.xr_threads r.xr_ns_off r.xr_ns_on r.xr_overhead)
+      san_thread_counts
+  in
   let prows = parallel_rows () in
   List.iter pp_par_row prows;
-  let n_prows = List.length prows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %s%s\n" (par_row_json r)
-           (if i = n_prows - 1 then "" else ",")))
-    prows;
-  Buffer.add_string buf "  ],\n  \"obs\": ";
-  Buffer.add_string buf (obs_json ());
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file
+  write_keys file
+    [
+      ("table2", Bench_json.array table2);
+      ("sched_scaling", Bench_json.array sched);
+      ("timers_scaling", Bench_json.array timers);
+      ("sanitize", Bench_json.array sanitize);
+      ("parallel_scaling", Bench_json.array (List.map par_row_json prows));
+      ("obs", obs_json ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* CI smoke: a budgeted scaling check with a regression gate            *)
@@ -1303,25 +1302,8 @@ let sched_smoke file =
   let counts = [ 1_000; 10_000; 100_000 ] in
   let rows = List.map (fun n -> sched_latency n) counts in
   List.iter pp_sched_row rows;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"sched_scaling\": [\n";
-  let n_rows = List.length rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"threads\": %d, \"ns_per_dispatch\": %.1f, \"dispatches\": \
-            %d, \"bytes_per_thread\": %d, \"host_bytes_per_thread\": %d, \
-            \"timers_armed_peak\": %d}%s\n"
-           r.sr_threads r.sr_ns_per_dispatch r.sr_dispatches
-           r.sr_bytes_per_thread r.sr_host_bytes_per_thread r.sr_timers_peak
-           (if i = n_rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file;
+  write_keys file
+    [ ("sched_scaling", Bench_json.array (List.map sched_row_json rows)) ];
   let per n =
     (List.find (fun r -> r.sr_threads = n) rows).sr_ns_per_dispatch
   in
@@ -1345,22 +1327,10 @@ let parallel_smoke file =
   sep "Parallel scaling smoke (CI gate: domains=4 >= domains=1 on multi-core)";
   let rows = parallel_rows ~tasks:32 ~spins:200_000 () in
   List.iter pp_par_row rows;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"parallel_scaling\": [\n";
-  let n_rows = List.length rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %s%s\n" (par_row_json r)
-           (if i = n_rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file;
+  write_keys file
+    [ ("parallel_scaling", Bench_json.array (List.map par_row_json rows)) ];
   let cores = (List.hd rows).pr_cores in
-  let last = List.nth rows (n_rows - 1) in
+  let last = List.nth rows (List.length rows - 1) in
   if cores < 2 then
     Printf.printf
       "SKIP: single-core host (%d core) — shards time-slice one core, \

@@ -46,7 +46,7 @@ let () =
                     end
                     else
                       (* one timed wait serves every deadline *)
-                      ignore (Cond.timed_wait proc changed m ~deadline_ns:earliest)
+                      ignore (Cond.wait_until proc changed m ~deadline_ns:earliest)
               done;
               Mutex.unlock proc m)
         in

@@ -9,34 +9,13 @@
                                   sockets through the select event loop
      echo_server                  both, one after the other
 
-   [--json FILE] appends a "serving" table (throughput, p50/p99) to the
+   [--json FILE] writes a "serving" table (throughput, p50/p99) to the
    bench JSON object; [--trace FILE] exports the spike window of the run
    as Perfetto/Chrome trace-event JSON (drop it on ui.perfetto.dev). *)
 
 let usage =
   "echo_server [--backend vm|unix|both] [--smoke] [--json FILE] [--trace FILE] \
    [--domains 1,2,4]"
-
-(* insert new key/value pairs before the JSON object's trailing brace; a
-   missing file starts a fresh object (same convention as bench_explore) *)
-let append_keys file keys =
-  let body =
-    if Sys.file_exists file then begin
-      let ic = open_in_bin file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      String.trim s
-    end
-    else "{}"
-  in
-  let inner = String.trim (String.sub body 1 (String.length body - 2)) in
-  let sep = if inner = "" then "" else ",\n" in
-  let oc = open_out_bin file in
-  Printf.fprintf oc "{%s%s%s\n}\n" inner sep
-    (String.concat ",\n"
-       (List.map (fun (k, v) -> Printf.sprintf "  \"%s\": %s" k v) keys));
-  close_out oc
 
 let () =
   let backend_arg = ref "both" in
@@ -50,7 +29,7 @@ let () =
         Arg.Set_string backend_arg,
         " vm | unix | both (default both)" );
       ("--smoke", Arg.Set smoke, " small fleets, CI-budget sized");
-      ("--json", Arg.String (fun f -> json_out := Some f), " append a \"serving\" row table to this JSON file");
+      ("--json", Arg.String (fun f -> json_out := Some f), " write a \"serving\" row table into this JSON file");
       ("--trace", Arg.String (fun f -> trace_out := Some f), " export the spike window as a Perfetto trace");
       ( "--domains",
         Arg.String (fun s -> domains_arg := Some s),
@@ -143,23 +122,15 @@ let () =
   (match !json_out with
   | None -> ()
   | Some file ->
-      let table =
-        "[\n    "
-        ^ String.concat ",\n    " (List.map Serving.row_json rows)
-        ^ "\n  ]"
-      in
-      let keys = [ ("serving", table) ] in
       let keys =
-        if par_rows = [] then keys
-        else
-          keys
-          @ [
-              ( "serving_parallel",
-                "[\n    "
-                ^ String.concat ",\n    "
-                    (List.map Serving.par_row_json par_rows)
-                ^ "\n  ]" );
-            ]
+        ("serving", Bench_json.array (List.map Serving.row_json rows))
+        ::
+        (if par_rows = [] then []
+         else
+           [
+             ( "serving_parallel",
+               Bench_json.array (List.map Serving.par_row_json par_rows) );
+           ])
       in
-      append_keys file keys;
-      Format.printf "appended serving rows to %s@." file)
+      Bench_json.set_keys file keys;
+      Format.printf "wrote serving rows to %s@." file)

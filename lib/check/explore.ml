@@ -129,9 +129,19 @@ let exec ~(mk : unit -> engine) ~(cfg : config) ~(pick : pick_ctx -> int) () =
   let depth = ref 0 in
   let sleep : (int * int list) list ref = ref [] in
   let prev_tid = ref None in
+  (* keys touched since the last decision, newest first *)
+  let touched = ref [] in
+  let take_touched () =
+    let ks = !touched in
+    touched := [];
+    ks
+  in
+  Engine.subscribe eng (function
+    | Touch k | San_access { a_key = k; _ } -> touched := k :: !touched
+    | _ -> ());
   let hook (cands : tcb list) =
     (* close the previous step: its footprint is everything touched since *)
-    let foot = Engine.take_touched eng in
+    let foot = take_touched () in
     (match !steps with
     | s :: _ ->
         s.st_foot <- foot;
@@ -167,7 +177,7 @@ let exec ~(mk : unit -> engine) ~(cfg : config) ~(pick : pick_ctx -> int) () =
   in
   Engine.set_explore_hook eng (Some hook);
   let finish () =
-    let foot = Engine.take_touched eng in
+    let foot = take_touched () in
     (match !steps with
     | s :: _ -> s.st_foot <- s.st_foot @ foot
     | [] -> ());

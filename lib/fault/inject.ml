@@ -67,7 +67,7 @@ let apply inj act =
       | None -> ())
   | Plan.Clock_jump ns -> Engine.inject_clock_jump eng ~ns
 
-let at_point inj () =
+let at_point inj =
   (* The guard keeps an [on_point] callback that itself reaches a fault
      point (it should not, but belt and braces) from recursing. *)
   if not inj.busy then begin
@@ -115,7 +115,9 @@ let install ?on_point eng (plan : Plan.t) =
          match Hashtbl.find_opt inj.armed name with
          | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
          | _ -> None));
-  Engine.set_fault_hook eng (Some (at_point inj));
+  Engine.subscribe eng (function
+    | Types.Decision -> at_point inj
+    | _ -> ());
   inj
 
 let points inj = inj.next_point

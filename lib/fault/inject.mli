@@ -1,7 +1,7 @@
-(** Threads a {!Plan} through the engine's fault hooks.
+(** Threads a {!Plan} through the engine probe.
 
-    [install] registers a hook that fires at every fault point (checkpoint
-    or kernel exit, see [Engine.set_fault_hook]), numbers the points, and
+    [install] subscribes to the engine probe's decision points (every
+    checkpoint or kernel exit, see [Types.Decision]), numbers them, and
     applies the plan's actions at their points via the engine's injection
     primitives.  Trap faults are armed with [Vm.Unix_kernel]'s fault hook
     and fire at the next matching kernel call.  Signal bursts whose signo

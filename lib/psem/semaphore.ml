@@ -83,16 +83,3 @@ let value proc s =
   let v = s.count in
   Mutex.unlock proc s.lock;
   v
-
-module Result = struct
-  let wrap f = try Ok (f ()) with Types.Error (e, _) -> Stdlib.Error e
-  let wait proc s = wrap (fun () -> wait proc s)
-
-  let try_wait proc s =
-    match wrap (fun () -> try_wait proc s) with
-    | Ok true -> Ok ()
-    | Ok false -> Stdlib.Error Pthreads.Errno.EAGAIN
-    | Stdlib.Error _ as e -> e
-
-  let post proc s = wrap (fun () -> post proc s)
-end

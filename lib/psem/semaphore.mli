@@ -23,13 +23,3 @@ val post : Pthread.proc -> t -> unit
 
 val value : Pthread.proc -> t -> int
 (** Instantaneous value (racy by nature; for tests and monitoring). *)
-
-(** Non-raising twins ([('a, Errno.t) result]; see [Pthreads.Errno.Result]).
-    [try_wait] folds the boolean into the result: a zero-valued semaphore
-    is [Error EAGAIN] (POSIX [sem_trywait]), so [Ok ()] always means the
-    count was taken. *)
-module Result : sig
-  val wait : Pthread.proc -> t -> (unit, Pthreads.Errno.t) result
-  val try_wait : Pthread.proc -> t -> (unit, Pthreads.Errno.t) result
-  val post : Pthread.proc -> t -> (unit, Pthreads.Errno.t) result
-end

@@ -73,7 +73,7 @@ let wait_internal eng c m ~deadline =
 
 let wait eng c m = wait_internal eng c m ~deadline:None
 
-let timed_wait eng c m ~deadline_ns =
+let wait_until eng c m ~deadline_ns =
   wait_internal eng c m ~deadline:(Some deadline_ns)
 
 let signal eng c =
@@ -115,31 +115,5 @@ let broadcast eng c =
 
 let waiter_count c = Wait_queue.size c.c_waiters
 
-let wait_until = timed_wait
-
 let wait_for eng c m ~timeout_ns =
-  timed_wait eng c m ~deadline_ns:(Engine.now eng + timeout_ns)
-
-module Result = struct
-  let wrap f = try Ok (f ()) with Error (e, _) -> Stdlib.Error e
-
-  let of_wait_result = function
-    | Signaled -> Ok ()
-    | Interrupted -> Stdlib.Error Errno.EINTR
-    | Timed_out -> Stdlib.Error Errno.ETIMEDOUT
-
-  let flatten = function
-    | Ok r -> of_wait_result r
-    | Stdlib.Error _ as e -> e
-
-  let wait eng c m = flatten (wrap (fun () -> wait eng c m))
-
-  let wait_until eng c m ~deadline_ns =
-    flatten (wrap (fun () -> wait_until eng c m ~deadline_ns))
-
-  let wait_for eng c m ~timeout_ns =
-    flatten (wrap (fun () -> wait_for eng c m ~timeout_ns))
-
-  let signal eng c = wrap (fun () -> signal eng c)
-  let broadcast eng c = wrap (fun () -> broadcast eng c)
-end
+  wait_until eng c m ~deadline_ns:(Engine.now eng + timeout_ns)

@@ -13,7 +13,7 @@ open Types
 type wait_result =
   | Signaled  (** woken by [signal]/[broadcast] *)
   | Interrupted  (** woken to run a signal handler; predicate must be re-tested *)
-  | Timed_out  (** the deadline of [timed_wait] passed *)
+  | Timed_out  (** the deadline of [wait_until] or [wait_for] passed *)
 
 val create : engine -> ?name:string -> unit -> cond
 
@@ -22,9 +22,6 @@ val wait : engine -> cond -> mutex -> wait_result
     cancellation.  @raise Types.Error with [Errno.EPERM] if the mutex is
     not held, [Errno.EINVAL] if the condition variable is already bound to
     a different mutex. *)
-
-val timed_wait : engine -> cond -> mutex -> deadline_ns:int -> wait_result
-(** Historical name for {!wait_until}. *)
 
 val wait_until : engine -> cond -> mutex -> deadline_ns:int -> wait_result
 (** Timed wait with an {e absolute} deadline, in virtual-clock nanoseconds
@@ -46,16 +43,3 @@ val signal : engine -> cond -> unit
 val broadcast : engine -> cond -> unit
 
 val waiter_count : cond -> int
-
-(** Non-raising twins ([('a, Errno.t) result]; see {!Errno.Result}).
-    The {!wait_result} folds into the result: [Signaled] is [Ok ()],
-    [Interrupted] is [Error EINTR], [Timed_out] is [Error ETIMEDOUT]. *)
-module Result : sig
-  val wait : engine -> cond -> mutex -> (unit, Errno.t) result
-  val wait_until :
-    engine -> cond -> mutex -> deadline_ns:int -> (unit, Errno.t) result
-  val wait_for :
-    engine -> cond -> mutex -> timeout_ns:int -> (unit, Errno.t) result
-  val signal : engine -> cond -> (unit, Errno.t) result
-  val broadcast : engine -> cond -> (unit, Errno.t) result
-end

@@ -51,14 +51,16 @@ let pp_process ppf eng =
 type switch_event = { sw_at_ns : int; sw_tid : int; sw_name : string; sw_prio : int }
 
 let watch_switches eng f =
-  Engine.add_switch_hook eng (fun t ->
-      f
-        {
-          sw_at_ns = Unix_kernel.now eng.vm;
-          sw_tid = t.tid;
-          sw_name = t.tname;
-          sw_prio = t.prio;
-        })
+  Engine.subscribe eng (function
+    | Switch_in t ->
+        f
+          {
+            sw_at_ns = Unix_kernel.now eng.vm;
+            sw_tid = t.tid;
+            sw_name = t.tname;
+            sw_prio = t.prio;
+          }
+    | _ -> ())
 
 let collect_switches eng =
   (* accumulate newest-first (O(1) per event), reverse on read *)

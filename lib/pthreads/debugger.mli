@@ -42,8 +42,8 @@ val watch_switches : engine -> (switch_event -> unit) -> unit
 (** Invoke the callback at every dispatch, {e before} the switch is
     committed (the thread in the event is still ready, and the outgoing
     thread is still current): a watcher can veto or redirect the dispatch
-    by raising, which is how the schedule explorer steers runs.  See
-    {!Engine.add_switch_hook} for the full ordering contract. *)
+    by raising.  See {!Types.Switch_in} and {!Engine.subscribe} for the
+    full ordering contract. *)
 
 val collect_switches : engine -> unit -> switch_event list
 (** Convenience: record every switch; the returned thunk yields the events

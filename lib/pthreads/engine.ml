@@ -19,16 +19,23 @@ let set_kernel_flag eng b =
     eng.kernel_flag <- b
   end
 
-(* Hooks are stored newest-first (O(1) registration) and invoked in
-   registration order; the recursion depth is the number of hooks (a
-   handful at most), and no list is allocated per dispatch. *)
-let add_switch_hook eng hook = eng.switch_hooks <- hook :: eng.switch_hooks
+(* The engine probe.  Every emitter matches on [eng.probes] before it
+   builds its event: the emitters sit on the lock/unlock and dispatch fast
+   paths of every program, observed or not. *)
+let subscribe eng f = eng.probes <- eng.probes @ [ f ]
 
-let rec run_hooks t = function
+let unsubscribe eng f =
+  let rec drop = function
+    | [] -> []
+    | g :: rest -> if g == f then rest else g :: drop rest
+  in
+  eng.probes <- drop eng.probes
+
+let rec emit ev = function
   | [] -> ()
-  | hook :: rest ->
-      run_hooks t rest;
-      hook t
+  | f :: rest ->
+      f ev;
+      emit ev rest
 
 let charge eng n = Unix_kernel.insns eng.vm n
 let now eng = Unix_kernel.now eng.vm
@@ -90,54 +97,36 @@ let key_of_string s =
 
 let exploring eng = eng.explore_hook <> None
 
-let touch eng key =
-  if eng.explore_hook <> None then
-    eng.explore_touched <- key :: eng.explore_touched
-
-let take_touched eng =
-  let ks = eng.explore_touched in
-  eng.explore_touched <- [];
-  ks
-
 let set_explore_hook eng h = eng.explore_hook <- h
 
-(* Sanitizer events.  Each emitter matches on the hook itself so the
-   hook-off path allocates nothing — these sit on the lock/unlock fast
-   paths of every program, sanitized or not. *)
+let touch eng key =
+  match eng.probes with [] -> () | ps -> emit (Touch key) ps
 
-let set_san_hook eng h = eng.san_hook <- h
-
-let san_access eng key ~write =
-  match eng.san_hook with
-  | None -> ()
-  | Some h -> h (San_access { a_key = key; a_write = write })
+(* An annotated access is one event for both consumers: the explorer
+   takes its key as footprint, the race detector its read/write kind. *)
+let touch_rw eng key ~write =
+  match eng.probes with
+  | [] -> ()
+  | ps -> emit (San_access { a_key = key; a_write = write }) ps
 
 let san_acquire eng key ~name ~excl =
-  match eng.san_hook with
-  | None -> ()
-  | Some h -> h (San_acquire { q_key = key; q_name = name; q_excl = excl })
+  match eng.probes with
+  | [] -> ()
+  | ps -> emit (San_acquire { q_key = key; q_name = name; q_excl = excl }) ps
 
 let san_release eng key =
-  match eng.san_hook with
-  | None -> ()
-  | Some h -> h (San_release { r_key = key })
+  match eng.probes with [] -> () | ps -> emit (San_release { r_key = key }) ps
 
 let san_publish eng key =
-  match eng.san_hook with
-  | None -> ()
-  | Some h -> h (San_publish { p_key = key })
+  match eng.probes with [] -> () | ps -> emit (San_publish { p_key = key }) ps
 
 let san_merge eng key =
-  match eng.san_hook with
-  | None -> ()
-  | Some h -> h (San_merge { g_key = key })
+  match eng.probes with [] -> () | ps -> emit (San_merge { g_key = key }) ps
 
-(* Footprint touch that also carries the read/write kind through to the
-   sanitizer: the explorer keeps its flat key list (dependence needs no
-   access kind beyond the key), the race detector gets the precise event. *)
-let touch_rw eng key ~write =
-  touch eng key;
-  san_access eng key ~write
+let san_join eng tid =
+  match eng.probes with
+  | [] -> ()
+  | ps -> emit (San_join { j_target = tid }) ps
 
 (* ------------------------------------------------------------------ *)
 (* The thread table: every live (or unjoined) thread, as an intrusive    *)
@@ -792,12 +781,14 @@ let enter_kernel eng =
   charge eng Costs.kernel_enter;
   set_kernel_flag eng true
 
-(* Fault-injection hook: fired at the same points the explorer treats as
-   decision points (every kernel exit and every checkpoint).  The hook only
-   mutates state and sets [dispatcher_flag]; the enclosing point performs
-   any switch it requested. *)
-let fire_fault_hook eng =
-  match eng.fault_hook with Some h when eng.in_fiber -> h () | _ -> ()
+(* Fired at the points the explorer treats as decisions (every kernel
+   exit and every checkpoint outside the kernel), in a thread only.  A
+   subscriber only mutates state and sets [dispatcher_flag]; the
+   enclosing point performs any switch it requested. *)
+let decision_point eng =
+  match eng.probes with
+  | _ :: _ as ps when eng.in_fiber -> emit Decision ps
+  | _ -> ()
 
 let apply_perversion eng =
   let cur = eng.current in
@@ -831,7 +822,7 @@ let apply_perversion eng =
 
 let leave_kernel eng =
   charge eng Costs.kernel_exit;
-  fire_fault_hook eng;
+  decision_point eng;
   apply_perversion eng;
   if eng.dispatcher_flag then ignore (dispatch eng : wake)
   else set_kernel_flag eng false
@@ -885,7 +876,7 @@ let checkpoint eng =
      implementation could leave the kernel, so the perverted reordering
      policies hook here as well — otherwise programs that stay on the
      kernel-free fast paths would never be perturbed. *)
-  if not eng.kernel_flag then fire_fault_hook eng;
+  if not eng.kernel_flag then decision_point eng;
   if not eng.kernel_flag then apply_perversion eng;
   if eng.dispatcher_flag && not eng.kernel_flag then begin
     set_kernel_flag eng true;
@@ -935,9 +926,9 @@ let register_thread eng t =
   thread_table_add eng t;
   eng.live_count <- eng.live_count + 1;
   eng.n_created <- eng.n_created + 1;
-  (match eng.san_hook with
-  | None -> ()
-  | Some h -> h (San_create { c_child = t.tid }));
+  (match eng.probes with
+  | [] -> ()
+  | ps -> emit (San_create { c_child = t.tid }) ps);
   trace eng t (Trace.Thread_create t.tname);
   charge eng Costs.create_thread;
   match t.state with
@@ -989,7 +980,7 @@ let finish_current eng status =
   t.retval <- Some status;
   t.state <- Terminated;
   eng.live_count <- eng.live_count - 1;
-  (match eng.san_hook with None -> () | Some h -> h San_exit);
+  emit San_exit eng.probes;
   trace eng t Trace.Thread_exit;
   if t.owned <> [] then trace eng t (Trace.Note "terminated while holding mutexes");
   (* all joiners wake at once: one preemption test for the burst *)
@@ -1044,12 +1035,12 @@ let start_fiber eng t body =
     }
 
 let resume_thread eng t =
-  (* Switch hooks fire *before* the dispatch is committed: [t] is still
-     [Ready] and [eng.current] still names the outgoing thread, so a hook
-     (the debugger's watchers, the schedule explorer, validators) observes
-     the decision at a point where it can still veto or redirect the
-     switch by raising.  See [add_switch_hook] in the interface. *)
-  run_hooks t eng.switch_hooks;
+  (* The switch is announced *before* the dispatch is committed: [t] is
+     still [Ready] and [eng.current] still names the outgoing thread, so
+     a subscriber (the debugger's watchers, validators) observes the
+     decision at a point where it can still veto or redirect the switch
+     by raising.  See [Types.Switch_in]. *)
+  (match eng.probes with [] -> () | ps -> emit (Switch_in t) ps);
   t.state <- Running;
   t.n_switches_in <- t.n_switches_in + 1;
   eng.n_dispatches <- eng.n_dispatches + 1;
@@ -1121,8 +1112,7 @@ let run_scheduler eng =
             (* everyone is blocked: advance the clock to the next timer or
                I/O completion; with none, wake any sleeper whose deadline
                passed while its (lost) alarm never arrived; otherwise the
-               process is deadlocked.  On a shared machine, the idle hook
-               arbitrates instead: another process may run first. *)
+               process is deadlocked. *)
             let engine_next =
               match
                 (Unix_kernel.next_event_time eng.vm, sleep_next_deadline eng)
@@ -1131,24 +1121,16 @@ let run_scheduler eng =
               | (Some _ as s), None | None, (Some _ as s) -> s
               | None, None -> None
             in
-            match eng.idle_hook with
-            | Some hook ->
-                if hook engine_next then begin
-                  wake_expired_sleepers eng;
-                  loop ()
-                end
-                else
-                  eng.stop_reason <- Some (Deadlock (describe_blocked eng))
-            | None ->
-                (* the backend sleeps until the next event: the virtual one
-                   advances the clock to the deadline (deadlock when there
-                   is none); the Unix one blocks in select and may wake on
-                   external events even without a deadline *)
-                if eng.backend.Backend.wait ~deadline_ns:engine_next then begin
-                  wake_expired_sleepers eng;
-                  loop ()
-                end
-                else eng.stop_reason <- Some (Deadlock (describe_blocked eng)))
+            (* the backend sleeps until the next event: the virtual one
+               advances the clock to the deadline (deadlock when there is
+               none); the Unix one blocks in select and may wake on
+               external events even without a deadline; a [Machine]
+               process yields to its machine *)
+            if eng.backend.Backend.wait ~deadline_ns:engine_next then begin
+              wake_expired_sleepers eng;
+              loop ()
+            end
+            else eng.stop_reason <- Some (Deadlock (describe_blocked eng)))
       end
     end
   in
@@ -1179,13 +1161,12 @@ let post_external eng signo ?(code = 0) () =
 (* Fault injection primitives                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Each primitive runs from inside the fault hook, i.e. at a kernel exit or
-   a checkpoint.  They take the kernel flag themselves (the universal
+(* Each primitive runs from a [Decision] subscriber, i.e. at a kernel exit
+   or a checkpoint.  They take the kernel flag themselves (the universal
    handler must see the library as busy while queues are edited), never
    dispatch inline — requested switches happen when the enclosing point
    checks [dispatcher_flag] — and count every applied fault. *)
 
-let set_fault_hook eng h = eng.fault_hook <- h
 let note_fault eng = eng.n_faults_injected <- eng.n_faults_injected + 1
 
 let in_kernel eng f =
@@ -1288,15 +1269,11 @@ let make ?clock ?backend cfg ~main =
       tsd_next = 0;
       stop_reason = None;
       in_fiber = false;
-      switch_hooks = [];
-      idle_hook = None;
+      probes = [];
       explore_hook = None;
-      explore_touched = [];
       all_mutexes = [];
       all_conds = [];
-      fault_hook = None;
       n_faults_injected = 0;
-      san_hook = None;
       net_state = Ext_none;
       shard_state = Ext_none;
     }

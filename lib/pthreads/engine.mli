@@ -184,22 +184,31 @@ val busy : engine -> ns:int -> unit
 
 val trace : engine -> tcb -> Vm.Trace.kind -> unit
 
-val add_switch_hook : engine -> (tcb -> unit) -> unit
-(** Register a callback invoked at every dispatch with the thread being
-    switched in.  Ordering contract: hooks fire {e before} the dispatch
-    decision is committed — the argument thread is still [Ready] and
-    [current] still names the outgoing thread — so a hook can observe the
-    decision and veto or redirect the switch by raising.  Hooks run in
-    scheduler context (never inside a fiber).  Used by [Debugger],
-    [Validate] and the schedule explorer. *)
+(** {1:probe The engine probe}
+
+    Every observer sees the engine through one subscriber list of
+    {!Types.probe} events.  With no subscriber every emission point is one
+    test of the list and allocates nothing. *)
+
+val subscribe : engine -> (probe -> unit) -> unit
+(** Add a subscriber; subscribers see each event in registration order.
+    A subscriber runs synchronously inside the engine — from the thread
+    the event describes, or from the scheduler loop for
+    {!Types.Switch_in} — and must not block or dispatch.  It may raise:
+    raising from [Switch_in] vetoes the dispatch, and the exception
+    propagates out of {!run_scheduler}. *)
+
+val unsubscribe : engine -> (probe -> unit) -> unit
+(** Remove the first subscriber physically equal to the given function
+    (no-op when absent); other subscribers keep firing. *)
 
 (** {1 Schedule exploration}
 
     Support for the [Check.Explore] model checker: an exploration hook
     replaces the dispatcher's priority-based pick with an arbitrary choice
-    among the ready threads, and [touch]/[take_touched] let synchronization
-    modules report which objects each step accessed (the footprints that
-    drive partial-order reduction). *)
+    among the ready threads, and [touch] lets synchronization modules
+    report which objects each step accessed (the footprints that drive
+    partial-order reduction, delivered as {!Types.Touch} probe events). *)
 
 val set_explore_hook : engine -> (tcb list -> tcb) option -> unit
 (** Install (or clear) the exploration chooser.  While set: every kernel
@@ -211,27 +220,21 @@ val set_explore_hook : engine -> (tcb list -> tcb) option -> unit
 val exploring : engine -> bool
 
 val touch : engine -> int -> unit
-(** Record that the current step accessed the object with the given key.
-    No-op unless an exploration hook is installed. *)
-
-val take_touched : engine -> int list
-(** Drain the keys recorded since the last call (unordered, may contain
-    duplicates). *)
+(** Report that the current step accessed the object with the given key
+    (a {!Types.Touch} event).  No-op without subscribers. *)
 
 val key_mutex : int -> int
 val key_cond : int -> int
 val key_thread : int -> int
 val key_signal : int -> int
 
-val set_fault_hook : engine -> (unit -> unit) option -> unit
 (** {2:fault Fault injection}
 
-    Install (or clear) the fault hook.  While set, it is called at every
-    kernel exit and every checkpoint — the same decision points the
-    explorer uses — with the current thread outside any half-finished
-    kernel operation.  The hook perturbs the run through the primitives
-    below; it must not dispatch itself (requested switches happen when the
-    enclosing point examines the dispatcher flag). *)
+    A {!Types.Decision} subscriber runs at every kernel exit and every
+    checkpoint — the same decision points the explorer uses — with the
+    current thread outside any half-finished kernel operation.  It
+    perturbs the run through the primitives below; requested switches
+    happen when the enclosing point examines the dispatcher flag. *)
 
 val inject_preempt : engine -> unit
 (** Force a context switch: requeue the running thread at the tail of the
@@ -287,20 +290,11 @@ val key_of_string : string -> int option
 
 (** {1:san Sanitizer events}
 
-    The hook-based event stream feeding [Sanitize.Monitor]: every
-    synchronization action (acquire, release, signal→wake edge, create,
-    join, exit, annotated data access) is delivered synchronously from the
-    thread performing it.  Unlike the explorer footprint this works on any
-    run — no exploration hook required — so a single production schedule
-    can be checked for races and lock-order cycles. *)
-
-val set_san_hook : engine -> (san_event -> unit) option -> unit
-(** Install (or clear) the sanitizer event hook.  The hook is a pure
-    observer called from inside the kernel: it must not block, dispatch,
-    or mutate scheduling state. *)
-
-val san_access : engine -> int -> write:bool -> unit
-(** Emit an annotated shared-data access (no explorer footprint). *)
+    The probe events feeding [Sanitize.Monitor]: every synchronization
+    action (acquire, release, signal→wake edge, create, join, exit,
+    annotated data access) is delivered synchronously from the thread
+    performing it.  They need no exploration hook, so a single production
+    schedule can be checked for races and lock-order cycles. *)
 
 val san_acquire : engine -> int -> name:string -> excl:bool -> unit
 (** Emit a lock acquisition by the current thread ([excl:false] = shared
@@ -310,11 +304,12 @@ val san_acquire : engine -> int -> name:string -> excl:bool -> unit
 val san_release : engine -> int -> unit
 val san_publish : engine -> int -> unit
 val san_merge : engine -> int -> unit
+val san_join : engine -> int -> unit
 
 val touch_rw : engine -> int -> write:bool -> unit
-(** [touch] plus a sanitizer access event carrying the read/write kind:
-    the annotation entry point shared by the explorer and the race
-    detector ([Check.Explore.touch_read]/[touch_write]). *)
+(** An annotated shared-data access ({!Types.San_access}): one event that
+    is both a footprint key for the explorer and a read or write for the
+    race detector ([Check.Explore.touch_read]/[touch_write]). *)
 
 (** {1 Statistics} *)
 

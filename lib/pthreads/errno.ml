@@ -35,15 +35,3 @@ let to_string = function
 
 let of_string s = List.find_opt (fun e -> to_string e = s) all
 let pp fmt e = Format.pp_print_string fmt (to_string e)
-
-module Result = struct
-  type nonrec 'a t = ('a, t) result
-
-  let get_ok = function
-    | Ok v -> v
-    | Error e -> invalid_arg ("Errno.Result.get_ok: " ^ to_string e)
-
-  let pp pp_ok fmt = function
-    | Ok v -> Format.fprintf fmt "Ok %a" pp_ok v
-    | Error e -> Format.fprintf fmt "Error %a" pp e
-end

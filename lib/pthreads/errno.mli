@@ -34,21 +34,3 @@ val of_string : string -> t option
 (** Inverse of {!to_string}. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** Non-raising twins.
-
-    Each operation module with failure modes exposes a [Result] submodule
-    ([Mutex.Result], [Cond.Result], [Pthread.Result], [Semaphore.Result])
-    whose functions return [('a, Errno.t) result] instead of raising
-    [Types.Error] — callers choose exceptions or results.  The mapping is
-    uniform: [raise (Error (e, _))] becomes [Error e]; boolean "would
-    block" returns become [Error EBUSY] ([try_lock]) / [Error EAGAIN]
-    ([try_wait]); [Cond.Timed_out] becomes [Error ETIMEDOUT]. *)
-module Result : sig
-  type nonrec 'a t = ('a, t) result
-
-  val get_ok : 'a t -> 'a
-  (** @raise Invalid_argument on [Error]. *)
-
-  val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
-end

@@ -145,7 +145,7 @@ let cond_timedwait eng hc hm ~deadline_ns =
   with_cond eng hc (fun c ->
       with_mutex eng hm (fun m ->
           try
-            match Cond.timed_wait eng c m ~deadline_ns with
+            match Cond.wait_until eng c m ~deadline_ns with
             | Cond.Timed_out -> etimedout
             | Cond.Signaled -> ok
             | Cond.Interrupted -> eintr

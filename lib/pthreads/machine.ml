@@ -3,9 +3,9 @@ open Types
 
 type proc_result = Completed of exit_status option | Stopped of stop_reason
 
-(* Effect performed by a process's engine (through its idle hook) when none
-   of its threads is ready: yields the processor to the machine, reporting
-   the process's next event time. *)
+(* Effect performed by a process's engine (through its backend's [wait])
+   when none of its threads is ready: yields the processor to the
+   machine, reporting the process's next event time. *)
 type _ Effect.t += Proc_idle : int option -> unit Effect.t
 
 type pstate =
@@ -39,16 +39,24 @@ let create ?(profile = Cost_model.sparc_ipx) () =
 
 let clock m = m.m_clock
 
+(* The virtual backend on the shared clock, except that an idle process
+   yields to the machine (which advances the clock once every process is
+   stalled) instead of advancing the clock itself, then retries. *)
+let machine_backend m =
+  let b = Backend.virtual_ ~clock:m.m_clock m.m_profile in
+  {
+    b with
+    Backend.wait =
+      (fun ~deadline_ns ->
+        Effect.perform (Proc_idle deadline_ns);
+        true);
+  }
+
 let make_mproc m ?policy ?perverted ?seed ?main_prio ~name f =
   let eng =
-    Pthread.make_proc ~clock:m.m_clock ~profile:m.m_profile ?policy ?perverted
-      ?seed ?main_prio f
+    Pthread.make_proc ~backend:(machine_backend m) ?policy ?perverted ?seed
+      ?main_prio f
   in
-  eng.idle_hook <-
-    Some
-      (fun next ->
-        Effect.perform (Proc_idle next);
-        true);
   let body () = Engine.run_scheduler eng in
   let p =
     { mp_name = name; mp_eng = eng; mp_body = body; mp_state = Not_started;

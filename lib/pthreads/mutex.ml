@@ -217,16 +217,3 @@ let is_locked m = m.m_locked
 let waiter_count m = Wait_queue.size m.m_waiters
 let lock_count m = m.m_locks
 let contention_count m = m.m_contended
-
-module Result = struct
-  let wrap f = try Ok (f ()) with Error (e, _) -> Stdlib.Error e
-  let lock eng m = wrap (fun () -> lock eng m)
-
-  let try_lock eng m =
-    match wrap (fun () -> try_lock eng m) with
-    | Ok true -> Ok ()
-    | Ok false -> Stdlib.Error Errno.EBUSY
-    | Stdlib.Error _ as e -> e
-
-  let unlock eng m = wrap (fun () -> unlock eng m)
-end

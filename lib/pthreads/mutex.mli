@@ -62,12 +62,3 @@ val is_locked : mutex -> bool
 val waiter_count : mutex -> int
 val lock_count : mutex -> int
 val contention_count : mutex -> int
-
-(** Non-raising twins ([('a, Errno.t) result]; see {!Errno.Result}).
-    [try_lock] folds the boolean into the result: a held mutex is
-    [Error EBUSY], so [Ok ()] always means "now locked by me". *)
-module Result : sig
-  val lock : engine -> mutex -> (unit, Errno.t) result
-  val try_lock : engine -> mutex -> (unit, Errno.t) result
-  val unlock : engine -> mutex -> (unit, Errno.t) result
-end

@@ -135,9 +135,7 @@ let join eng tid =
         let status =
           match t.retval with Some s -> s | None -> assert false
         in
-        (match eng.san_hook with
-        | None -> ()
-        | Some h -> h (San_join { j_target = t.tid }));
+        Engine.san_join eng t.tid;
         Engine.reap_thread eng t;
         Engine.leave_kernel eng;
         Engine.drain_fake_calls eng;
@@ -310,10 +308,3 @@ let trace_events eng = Trace.events eng.trace
 let gantt eng ~bucket_ns = Trace.gantt eng.trace ~bucket_ns
 
 let thread_count eng = eng.live_count
-
-module Result = struct
-  let wrap f = try Ok (f ()) with Error (e, _) -> Stdlib.Error e
-  let join eng t = wrap (fun () -> join eng t)
-  let detach eng t = wrap (fun () -> detach eng t)
-  let suspend eng t = wrap (fun () -> suspend eng t)
-end

@@ -171,12 +171,3 @@ val gantt : proc -> bucket_ns:int -> string
 
 val thread_count : proc -> int
 (** Threads not yet terminated. *)
-
-(** Non-raising twins ([('a, Errno.t) result]; see {!Errno.Result}):
-    [Error EDEADLK] for self-join, [Error EINVAL] for a detached target,
-    [Error ESRCH] for an unknown thread. *)
-module Result : sig
-  val join : proc -> t -> (exit_status, Errno.t) result
-  val detach : proc -> t -> (unit, Errno.t) result
-  val suspend : proc -> t -> (unit, Errno.t) result
-end

@@ -3,8 +3,7 @@
 
     Everything application code needs is re-exported here: thread
     management ({!Pthread}), synchronization ({!Mutex}, {!Cond}), typed
-    errors ({!Errno}, with non-raising twins in each module's [Result]),
-    signals ({!Signal_api}), sockets over either backend ({!Net}), and
+    errors ({!Errno}), signals ({!Signal_api}), sockets over either backend ({!Net}), and
     the {!run} entry point that owns engine setup and backend teardown:
 
     {[

@@ -298,16 +298,33 @@ type sleep_heap = {
   mutable sh_len : int;
 }
 
-(** Synchronization events consumed by the concurrency sanitizer
-    ([lib/sanitize]).  Unlike [explore_touched] — which is recorded only
-    while an explorer hook is installed — these are delivered to an
-    always-on-capable hook, so a single production run can feed race and
-    lock-order analysis.  The current thread and virtual time are implicit:
-    every event is emitted synchronously from the thread it describes. *)
-type san_event =
+(** The engine probe: the one stream through which the engine makes its
+    decisions visible (the paper's "context switches could become visible
+    to the user").  Every observer subscribes to it — the debugger and
+    validator watch switches, the schedule explorer collects footprints,
+    the fault injector acts at decision points, the concurrency sanitizer
+    ([lib/sanitize]) consumes the synchronization events.  The current
+    thread and virtual time are implicit: every event is emitted
+    synchronously, from the thread it describes or (for [Switch_in]) from
+    the scheduler loop. *)
+type probe =
+  | Decision
+      (** a decision point: every kernel exit and every checkpoint taken
+          outside the kernel, in a thread.  The explorer may switch here,
+          and the fault injector perturbs the run here: it must not
+          dispatch itself, but may request a switch through
+          [dispatcher_flag], which the enclosing point performs. *)
+  | Switch_in of tcb
+      (** a dispatch, fired {e before} it commits: the thread is still
+          [Ready] and [current] still names the outgoing thread, so a
+          subscriber can veto the switch by raising *)
+  | Touch of int
+      (** the current step accessed the synchronization object with this
+          footprint key (see [Engine.key_mutex] etc.): the explorer's
+          dependence relation for partial-order reduction *)
   | San_access of { a_key : int; a_write : bool }
       (** annotated shared-data access (footprint key, see
-          [Engine.key_user]) *)
+          [Engine.key_user]); also part of the step's footprint *)
   | San_acquire of { q_key : int; q_name : string; q_excl : bool }
       (** a lock-like object was acquired; [q_excl = false] for shared
           (rwlock read) mode.  Emitted after the acquisition succeeds. *)
@@ -369,46 +386,22 @@ type engine = {
   mutable tsd_next : int;
   mutable stop_reason : stop_reason option;
   mutable in_fiber : bool;  (** false while the scheduler loop itself runs *)
-  mutable switch_hooks : (tcb -> unit) list;
-      (** called on every dispatch with the thread switched in — the
-          paper's "context switches could become visible to the user".
-          Stored newest-first (O(1) registration); invoked in registration
-          order. *)
-  mutable idle_hook : (int option -> bool) option;
-      (** installed by [Machine] when this process shares a machine with
-          others: called instead of advancing the clock when no thread is
-          ready (argument: this process's next event time, if any).
-          Returning [true] means "retry" (another process ran or the
-          machine advanced the clock). *)
+  mutable probes : (probe -> unit) list;
+      (** the probe's subscribers, in registration order (see
+          [Engine.subscribe]); [[]] on every run nobody observes *)
   mutable explore_hook : (tcb list -> tcb) option;
       (** installed by the schedule explorer ([Check.Explore]): when set,
           the dispatcher requeues the running thread at every kernel exit /
           checkpoint and asks the hook to choose among the enabled (ready)
           threads, given in creation order.  The hook may abort the run by
           raising. *)
-  mutable explore_touched : int list;
-      (** encoded object keys (see [Engine.key_mutex] etc.) touched by the
-          current thread since the explorer last drained them; used to
-          compute step dependencies for partial-order reduction *)
   mutable all_mutexes : mutex list;
       (** every mutex created on this engine, newest first — the invariant
           checker's census (engines are per-run in exploration, so the list
           stays small and is never pruned) *)
   mutable all_conds : cond list;  (** ditto for condition variables *)
-  mutable fault_hook : (unit -> unit) option;
-      (** installed by the fault injector ([Fault.Inject]): called at every
-          checkpoint and kernel exit — the same points the explorer hooks —
-          so a plan can perturb the run (spurious wakeup, forced preemption,
-          signal burst, ...).  The hook must not dispatch; it requests
-          switches via [dispatcher_flag] and the enclosing point performs
-          them. *)
   mutable n_faults_injected : int;
       (** count of faults actually applied by the injection primitives *)
-  mutable san_hook : (san_event -> unit) option;
-      (** installed by the concurrency sanitizer ([Sanitize.Monitor]):
-          receives every synchronization event as it happens.  Must not
-          block, dispatch, or touch engine scheduling state — it is a pure
-          observer called from inside the kernel. *)
   mutable net_state : ext;
       (** [Net]'s per-engine state (virtual loopback registry), installed
           lazily on first use; [Ext_none] otherwise. *)

@@ -57,7 +57,9 @@ let check_dispatch mon t =
 
 let install eng =
   let mon = { eng; found = []; checks = 0 } in
-  Engine.add_switch_hook eng (fun t -> check_dispatch mon t);
+  Engine.subscribe eng (function
+    | Switch_in t -> check_dispatch mon t
+    | _ -> ());
   mon
 
 let violations mon = List.rev mon.found

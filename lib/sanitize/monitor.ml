@@ -129,7 +129,7 @@ type t = {
   mutable cycles : (int list * iedge list) list;
       (** (sorted node set, edges); node set dedupes *)
   mutable leaks : Report.leak list;
-  mutable active : bool;
+  mutable sub : probe -> unit;  (** the subscription [detach] removes *)
 }
 
 let note m text =
@@ -597,17 +597,17 @@ let on_exit m =
   ts.ts_held <- []
 
 let on_event m ev =
-  if m.active then
-    match ev with
-    | San_access { a_key; a_write } -> on_access m a_key ~write:a_write
-    | San_acquire { q_key; q_name; q_excl } ->
-        on_acquire m q_key ~name:q_name ~excl:q_excl
-    | San_release { r_key } -> on_release m r_key
-    | San_publish { p_key } -> on_publish m p_key
-    | San_merge { g_key } -> on_merge m g_key
-    | San_create { c_child } -> on_create m c_child
-    | San_join { j_target } -> on_join m j_target
-    | San_exit -> on_exit m
+  match ev with
+  | San_access { a_key; a_write } -> on_access m a_key ~write:a_write
+  | San_acquire { q_key; q_name; q_excl } ->
+      on_acquire m q_key ~name:q_name ~excl:q_excl
+  | San_release { r_key } -> on_release m r_key
+  | San_publish { p_key } -> on_publish m p_key
+  | San_merge { g_key } -> on_merge m g_key
+  | San_create { c_child } -> on_create m c_child
+  | San_join { j_target } -> on_join m j_target
+  | San_exit -> on_exit m
+  | Decision | Switch_in _ | Touch _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -627,15 +627,14 @@ let attach eng =
       races = [];
       cycles = [];
       leaks = [];
-      active = true;
+      sub = ignore;
     }
   in
-  E.set_san_hook eng (Some (on_event m));
+  m.sub <- on_event m;
+  E.subscribe eng m.sub;
   m
 
-let detach m =
-  m.active <- false;
-  E.set_san_hook m.eng None
+let detach m = E.unsubscribe m.eng m.sub
 
 let edge_out m e =
   {

@@ -1,6 +1,6 @@
 (** The concurrency monitor: vector-clock race detection, lock-order
     deadlock prediction and held-at-exit checks over the engine's
-    sanitizer event stream ({!Pthreads.Engine.set_san_hook}).
+    sanitizer events of the engine probe ({!Pthreads.Engine.subscribe}).
 
     Unlike the DPOR explorer ([Check.Explore]), which enumerates
     schedules, the monitor draws its conclusions from {e one} execution:
@@ -25,11 +25,13 @@
 type t
 
 val attach : Pthreads.Types.engine -> t
-(** Install the monitor on an engine (replaces any previous sanitizer
-    hook).  Attach before [Pthread.start] to observe the whole run. *)
+(** Subscribe the monitor to an engine's probe.  Attach before
+    [Pthread.start] to observe the whole run. *)
 
 val detach : t -> unit
-(** Stop observing; the accumulated findings remain readable. *)
+(** Stop observing (unsubscribe this monitor only; other subscribers,
+    such as a fault injector, keep firing); the accumulated findings
+    remain readable. *)
 
 val report : t -> Report.t
 (** The findings so far (races and leaks in discovery order, cycles as

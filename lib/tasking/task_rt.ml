@@ -141,7 +141,7 @@ let select g ?(else_ready = false) ?timeout_ns alts =
               Timed_out
           | Some d ->
               ignore
-                (Cond.timed_wait proc g.g_arrival g.g_m ~deadline_ns:d
+                (Cond.wait_until proc g.g_arrival g.g_m ~deadline_ns:d
                   : Cond.wait_result);
               loop ()
           | None ->

@@ -1,44 +1,3 @@
-module type S = sig
-  type t
-
-  val profile : t -> Cost_model.profile
-  val clock : t -> Clock.t
-  val now : t -> int
-  val advance : t -> int -> unit
-  val insns : t -> int -> unit
-  val trap : t -> name:string -> ?extra_ns:int -> (unit -> 'a) -> 'a
-  val getpid : t -> int
-  val sbrk : t -> int -> unit
-  val sigaction : t -> Sigset.signo -> Unix_kernel.disposition -> unit
-  val sigsetmask : t -> Sigset.t -> Sigset.t
-  val proc_mask : t -> Sigset.t
-
-  val post_signal :
-    t -> Sigset.signo -> ?code:int -> origin:Unix_kernel.origin -> unit -> unit
-
-  val deliver_pending : t -> bool
-  val has_deliverable : t -> bool
-
-  val arm_timer :
-    t ->
-    after_ns:int ->
-    interval_ns:int ->
-    signo:Sigset.signo ->
-    origin:Unix_kernel.origin ->
-    int
-
-  val disarm_timer : t -> int -> unit
-  val submit_io : t -> latency_ns:int -> requester:int -> unit
-  val post_io_completion : t -> requester:int -> unit
-  val take_io_completion : t -> requester:int -> bool
-  val check_events : t -> unit
-  val next_event_time : t -> int option
-end
-
-(* The conformance proof: the shared state machine satisfies the surface
-   the engine consumes.  Compile-time only. *)
-module _ : S = Unix_kernel
-
 type kind = Virtual | Unix_loop
 
 type net_ops = {

@@ -2,10 +2,10 @@
 
     The Pthreads engine consumes a narrow kernel surface — traps, the
     process signal state, the timing wheel, asynchronous I/O completions,
-    [sbrk], and a clock.  {!S} names that surface explicitly; both backends
-    share the {!Unix_kernel} state machine that implements it (so BSD
-    signal semantics, timer-wheel behaviour, and all accounting are
-    identical by construction) and differ only in what {e feeds} it:
+    [sbrk], and a clock — all of it the {!Unix_kernel} state machine.  Both
+    backends share that state machine (so BSD signal semantics,
+    timer-wheel behaviour, and all accounting are identical by
+    construction) and differ only in what {e feeds} it:
 
     - the {b virtual} backend ({!virtual_}) feeds nothing: time advances
       only when the scheduler decides, events come from simulated timers
@@ -30,46 +30,6 @@
     A third entry, {!t.wake}, is for other domains: it ends a blocked
     [wait] (the multi-core shard layer rings it when it queues work for
     an idle shard). *)
-
-(** The kernel surface the engine consumes.  {!Unix_kernel} satisfies it
-    (checked by a conformance functor application in the implementation);
-    backends provide a [t] of that module plus the event pump around it. *)
-module type S = sig
-  type t
-
-  val profile : t -> Cost_model.profile
-  val clock : t -> Clock.t
-  val now : t -> int
-  val advance : t -> int -> unit
-  val insns : t -> int -> unit
-  val trap : t -> name:string -> ?extra_ns:int -> (unit -> 'a) -> 'a
-  val getpid : t -> int
-  val sbrk : t -> int -> unit
-  val sigaction : t -> Sigset.signo -> Unix_kernel.disposition -> unit
-  val sigsetmask : t -> Sigset.t -> Sigset.t
-  val proc_mask : t -> Sigset.t
-
-  val post_signal :
-    t -> Sigset.signo -> ?code:int -> origin:Unix_kernel.origin -> unit -> unit
-
-  val deliver_pending : t -> bool
-  val has_deliverable : t -> bool
-
-  val arm_timer :
-    t ->
-    after_ns:int ->
-    interval_ns:int ->
-    signo:Sigset.signo ->
-    origin:Unix_kernel.origin ->
-    int
-
-  val disarm_timer : t -> int -> unit
-  val submit_io : t -> latency_ns:int -> requester:int -> unit
-  val post_io_completion : t -> requester:int -> unit
-  val take_io_completion : t -> requester:int -> bool
-  val check_events : t -> unit
-  val next_event_time : t -> int option
-end
 
 type kind =
   | Virtual  (** deterministic simulated kernel; virtual time *)

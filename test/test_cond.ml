@@ -165,7 +165,7 @@ let test_timed_wait_times_out () =
          let c = Cond.create proc () in
          Mutex.lock proc m;
          let t0 = Pthread.now proc in
-         let r = Cond.timed_wait proc c m ~deadline_ns:(t0 + 500_000) in
+         let r = Cond.wait_until proc c m ~deadline_ns:(t0 + 500_000) in
          check bool "timed out" true (r = Cond.Timed_out);
          check bool "deadline respected" true (Pthread.now proc >= t0 + 500_000);
          check bool "mutex reacquired" true
@@ -183,7 +183,7 @@ let test_timed_wait_signaled_in_time () =
          let t =
            Pthread.create_unit proc (fun () ->
                Mutex.lock proc m;
-               r := Cond.timed_wait proc c m
+               r := Cond.wait_until proc c m
                    ~deadline_ns:(Pthread.now proc + 5_000_000);
                Mutex.unlock proc m)
          in
@@ -207,7 +207,7 @@ let test_timed_wait_signaled_disarms_timer () =
            Pthread.create_unit proc (fun () ->
                Mutex.lock proc m;
                ignore
-                 (Cond.timed_wait proc c m
+                 (Cond.wait_until proc c m
                     ~deadline_ns:(Pthread.now proc + 5_000_000)
                    : Cond.wait_result);
                Mutex.unlock proc m)
@@ -235,7 +235,7 @@ let test_no_stale_alarm_hits_later_wait () =
            Pthread.create_unit proc (fun () ->
                Mutex.lock proc m;
                ignore
-                 (Cond.timed_wait proc c m
+                 (Cond.wait_until proc c m
                     ~deadline_ns:(Pthread.now proc + 1_000_000)
                    : Cond.wait_result);
                second := Some (Cond.wait proc c2 m);

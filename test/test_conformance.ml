@@ -104,7 +104,7 @@ let test_cond_contracts () =
       Cond.broadcast proc c;
       (* timed wait enforces ownership too *)
       (try
-         ignore (Cond.timed_wait proc c m ~deadline_ns:(Pthread.now proc + 10));
+         ignore (Cond.wait_until proc c m ~deadline_ns:(Pthread.now proc + 10));
          Alcotest.fail "timed wait without mutex"
        with Types.Error (Errno.EPERM, _) -> ()))
 

@@ -9,7 +9,7 @@ let test_timed_wait_past_deadline () =
          let m = Mutex.create proc () in
          let c = Cond.create proc () in
          Mutex.lock proc m;
-         let r = Cond.timed_wait proc c m ~deadline_ns:(Pthread.now proc - 1) in
+         let r = Cond.wait_until proc c m ~deadline_ns:(Pthread.now proc - 1) in
          check bool "immediate timeout" true (r = Cond.Timed_out);
          Mutex.unlock proc m;
          0));

@@ -96,6 +96,32 @@ let test_shape_relations () =
   check bool "thread switch ~3x cheaper than process switch" true
     (proc_switch > 2.5 *. ys)
 
+(* Re-running a bench writer replaces its keys: the object stays valid
+   JSON with exactly one copy of each, and other writers' keys survive
+   (including commas and brackets inside their strings). *)
+let test_bench_json_replaces_keys () =
+  let file = Filename.temp_file "bench_json" ".json" in
+  Sys.remove file;
+  Bench_json.set_keys file [ ("table2", "[1, 2]"); ("note", "\"a, [b\\\" }\"") ];
+  Bench_json.set_keys file [ ("serving", "{\"rps\": 1}") ];
+  Bench_json.set_keys file [ ("serving", "{\"rps\": 2}"); ("extra", "[]") ];
+  let ic = open_in_bin file in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove file;
+  match Obs.Json.parse text with
+  | Ok (Obs.Json.Obj members) ->
+      check (Alcotest.list string) "one copy of each key"
+        [ "table2"; "note"; "serving"; "extra" ]
+        (List.map fst members);
+      check bool "latest value wins" true
+        (Obs.Json.member "serving" (Obs.Json.Obj members)
+        = Some (Obs.Json.Obj [ ("rps", Obs.Json.Num 2.) ]));
+      check bool "other keys untouched" true
+        (List.assoc "note" members = Obs.Json.Str "a, [b\" }")
+  | Ok _ -> Alcotest.fail "not an object"
+  | Error e -> Alcotest.fail ("invalid JSON: " ^ e)
+
 let suite =
   [
     ( "metrics",
@@ -103,5 +129,6 @@ let suite =
         tc "IPX calibration" test_ipx_calibration;
         tc "profiles ordered" test_profiles_ordered;
         tc "shape relations" test_shape_relations;
+        tc "bench json replaces keys" test_bench_json_replaces_keys;
       ] );
   ]

@@ -439,17 +439,23 @@ let spin_until ~ns stop =
   done
 
 (* A shard parked with no threads and no timers is rung by a burst of
-   spawns queued at a busy shard, and steals from it. *)
+   spawns queued at a busy shard, and steals from it.  The root task may
+   itself have been stolen at startup, so the shards are named relative
+   to wherever it runs. *)
 let test_parked_shard_steals_burst () =
   let before = ref 0 in
   let o =
     Shard.run_parallel ~domains:2 (fun proc ->
-        ignore (Shard.await proc (Shard.spawn proc ~home:1 (fun _ -> 0)));
-        (* let shard 1 finish that task and park *)
+        let here = Shard.shard_index proc in
+        let other = 1 - here in
+        ignore (Shard.await proc (Shard.spawn proc ~home:other (fun _ -> 0)));
+        (* let the other shard finish that task and park *)
         spin_until ~ns:20_000_000 (fun () -> false);
         before := Shard.steal_count proc;
-        let hs = List.init 16 (fun i -> Shard.spawn proc ~home:0 (fun _ -> i)) in
-        (* shard 0 stays busy: only a steal can start the burst now *)
+        let hs =
+          List.init 16 (fun i -> Shard.spawn proc ~home:here (fun _ -> i))
+        in
+        (* this shard stays busy: only a steal can start the burst now *)
         spin_until ~ns:5_000_000_000 (fun () ->
             Shard.steal_count proc > !before);
         List.iter (fun h -> ignore (Shard.await proc h)) hs;

@@ -1,0 +1,147 @@
+(* The engine probe: one subscriber list for every observer.  Runs nobody
+   observes must pay nothing for it, subscribers must see events in the
+   order they registered, removing one subscriber must leave the others
+   firing, and a Machine process must idle through its backend's wait. *)
+
+open Tu
+open Pthreads
+
+(* Minor words allocated per call of [f], over [n] calls inside a thread
+   of an unobserved process. *)
+let words_per_call ?(n = 10_000) f =
+  let r = ref nan in
+  ignore
+    (Pthread.run (fun proc ->
+         f proc;
+         (* warm-up call above; measure the steady state *)
+         let w0 = Gc.minor_words () in
+         for _ = 1 to n do
+           f proc
+         done;
+         r := (Gc.minor_words () -. w0) /. float_of_int n;
+         0));
+  !r
+
+let test_unobserved_emitters_allocate_nothing () =
+  let key = Engine.key_mutex 1 in
+  let cases =
+    [
+      ("touch", fun proc -> Engine.touch proc key);
+      ("touch_rw", fun proc -> Engine.touch_rw proc key ~write:true);
+      ("san_acquire", fun proc -> Engine.san_acquire proc key ~name:"m" ~excl:true);
+      ("san_release", fun proc -> Engine.san_release proc key);
+      ("san_publish", fun proc -> Engine.san_publish proc key);
+      ("san_merge", fun proc -> Engine.san_merge proc key);
+      ("san_join", fun proc -> Engine.san_join proc 1);
+      ("trace (disabled)", fun proc -> Engine.trace proc (Engine.current proc) Vm.Trace.Ready);
+      ( "enter_kernel/leave_kernel",
+        fun proc ->
+          Engine.enter_kernel proc;
+          Engine.leave_kernel proc );
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      let w = words_per_call f in
+      (* the two Gc.minor_words readings box a float each: a few words
+         over 10^4 calls *)
+      if w > 0.01 then Alcotest.failf "%s allocates %.2f words/call" name w)
+    cases
+
+let test_subscribers_see_registration_order () =
+  let log = ref [] in
+  let proc =
+    Pthread.make_proc (fun proc ->
+        let m = Mutex.create proc () in
+        let t =
+          Pthread.create_unit proc (fun () ->
+              Mutex.lock proc m;
+              Mutex.unlock proc m)
+        in
+        Mutex.lock proc m;
+        Pthread.yield proc;
+        Mutex.unlock proc m;
+        ignore (Pthread.join proc t);
+        0)
+  in
+  let sub id (_ : Types.probe) = log := id :: !log in
+  let second = sub 2 in
+  List.iter (Engine.subscribe proc) [ sub 1; second; sub 3 ];
+  Engine.unsubscribe proc second;
+  Engine.subscribe proc (sub 4);
+  Pthread.start proc;
+  let ids = List.rev !log in
+  let rec rounds = function
+    | 1 :: 3 :: 4 :: rest -> rounds rest
+    | [] -> true
+    | _ -> false
+  in
+  check bool "saw events" true (List.length ids >= 30);
+  check bool "every event reaches 1, 3, 4 in that order; 2 is gone" true
+    (rounds ids)
+
+(* [Fault.Soak] attaches a sanitizer and a fault injector to the same
+   engine; detaching the sanitizer must not silence the injector. *)
+let test_detach_keeps_other_subscribers () =
+  let eng =
+    Pthread.make_proc (fun proc ->
+        let ts =
+          List.init 2 (fun _ ->
+              Pthread.create_unit proc (fun () ->
+                  for _ = 1 to 5 do
+                    Pthread.yield proc
+                  done))
+        in
+        List.iter (fun t -> ignore (Pthread.join proc t)) ts;
+        0)
+  in
+  let mon = Sanitize.Monitor.attach eng in
+  let inj =
+    Fault.Inject.install eng
+      [ { Fault.Plan.at = 3; act = Fault.Plan.Preempt } ]
+  in
+  Sanitize.Monitor.detach mon;
+  Pthread.start eng;
+  check bool "injector still counts decision points" true
+    (Fault.Inject.points inj > 3);
+  check int "planned preemption applied" 1 (Fault.Inject.injected inj)
+
+(* A Machine process idles through its backend's wait seam: the machine
+   still advances the shared clock for a sleeper, and a process that can
+   never wake is the machine's deadlock to report, not the process's. *)
+let test_machine_idles_through_backend () =
+  let m = Machine.create () in
+  let woke_at = ref 0 in
+  ignore
+    (Machine.spawn m ~name:"sleeper" (fun proc ->
+         Pthread.delay proc ~ns:1_000_000;
+         woke_at := Pthread.now proc;
+         0));
+  ignore
+    (Machine.spawn m ~name:"stuck" (fun proc ->
+         let mu = Mutex.create proc () and c = Cond.create proc () in
+         Mutex.lock proc mu;
+         ignore (Cond.wait proc c mu : Cond.wait_result);
+         0));
+  (match Machine.run m with
+  | exception Machine.Machine_deadlock msg ->
+      check bool "names the stuck process" true
+        (Test_explore.contains msg "stuck")
+  | _ -> Alcotest.fail "expected Machine_deadlock");
+  check bool "the sleeper woke on the shared clock" true
+    (!woke_at >= 1_000_000);
+  check bool "the shared clock advanced" true
+    (Vm.Clock.now (Machine.clock m) >= 1_000_000)
+
+let suite =
+  [
+    ( "probe",
+      [
+        tc "unobserved emitters allocate nothing"
+          test_unobserved_emitters_allocate_nothing;
+        tc "subscribers in registration order"
+          test_subscribers_see_registration_order;
+        tc "sanitizer detach keeps the injector" test_detach_keeps_other_subscribers;
+        tc "machine idles through the backend" test_machine_idles_through_backend;
+      ] );
+  ]

@@ -106,7 +106,7 @@ let test_timed_wait_outcome_preserved_across_suspension () =
            Pthread.create proc (fun () ->
                Mutex.lock proc m;
                result :=
-                 Cond.timed_wait proc c m ~deadline_ns:(Pthread.now proc + 100_000);
+                 Cond.wait_until proc c m ~deadline_ns:(Pthread.now proc + 100_000);
                Mutex.unlock proc m;
                0)
          in

@@ -146,10 +146,9 @@ let test_debugger_switch_visibility () =
   in
   check bool "monotone timestamps" true (monotone switches)
 
-(* Switch hooks fire *before* the dispatch commits: the incoming thread is
-   still Ready and not yet [Engine.current], so a hook can veto or redirect
-   the decision (the schedule explorer's contract, see
-   Engine.add_switch_hook). *)
+(* Switch events fire *before* the dispatch commits: the incoming thread
+   is still Ready and not yet [Engine.current], so a subscriber can veto
+   or redirect the decision (see Types.Switch_in). *)
 let test_switch_hooks_fire_before_commit () =
   let observed = ref 0 in
   let bad = ref [] in
@@ -160,12 +159,14 @@ let test_switch_hooks_fire_before_commit () =
         ignore (Pthread.join proc t);
         0)
   in
-  Engine.add_switch_hook proc (fun t ->
-      incr observed;
-      if t.Types.state <> Types.Ready then
-        bad := Types.state_name t.Types.state :: !bad;
-      if Engine.current proc == t && t.Types.state = Types.Running then
-        bad := "already committed" :: !bad);
+  Engine.subscribe proc (function
+    | Types.Switch_in t ->
+        incr observed;
+        if t.Types.state <> Types.Ready then
+          bad := Types.state_name t.Types.state :: !bad;
+        if Engine.current proc == t && t.Types.state = Types.Running then
+          bad := "already committed" :: !bad
+    | _ -> ());
   Pthread.start proc;
   check bool "hook saw dispatches" true (!observed >= 2);
   check (Alcotest.list string) "incoming thread still Ready at hook time" []
@@ -182,8 +183,9 @@ let test_switch_hook_can_veto () =
         ignore (Pthread.join proc t);
         0)
   in
-  Engine.add_switch_hook proc (fun t ->
-      if t.Types.tname <> "main" then raise Vetoed);
+  Engine.subscribe proc (function
+    | Types.Switch_in t when t.Types.tname <> "main" -> raise Vetoed
+    | _ -> ());
   (try
      Pthread.start proc;
      Alcotest.fail "vetoing hook must abort the run"

@@ -63,4 +63,17 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# 6. One engine probe.  Observers (debugger, validator, explorer
+#    footprints, fault injector, sanitizer) subscribe to the engine's
+#    probe list; the explorer's chooser is the one callback slot, because
+#    it returns the next thread instead of observing.  No other
+#    [mutable ..._hook] field may grow back on the engine record.
+hits=$(grep -nE 'mutable[[:space:]]+[a-z_]*_hook[[:space:]]*:' lib/pthreads/types.ml |
+  grep -v 'mutable explore_hook')
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: hook slot in lib/pthreads/types.ml — subscribe to the engine probe (Engine.subscribe) instead" >&2
+  fail=1
+fi
+
 exit $fail
