@@ -952,7 +952,7 @@ let timer_pass n =
     ignore
       (K.arm_timer k ~after_ns:(next_delta ()) ~interval_ns:0
          ~signo:Sigset.sigalrm ~origin:(K.Timer i)
-        : int)
+        : K.timer)
   done;
   let steps = 1_000 in
   for _ = 1 to steps do

@@ -4,19 +4,19 @@ open Pthreads.Types
 (* All checks report through an early-exit reference: the first violation
    found is the one the explorer attributes to the schedule, so the walk
    order below is deliberately stable (mutexes, then conds, then threads,
-   each in creation order — the registries are newest-first). *)
+   each in creation order). *)
 
 let find_violation eng ~final =
   let bad = ref None in
   let report msg = if !bad = None then bad := Some msg in
-  let owns_recorded o m = List.exists (fun x -> x == m) o.owned in
+  let owns_recorded o m = List.memq m (owned_list o) in
   let check_mutex m =
-    (match (m.m_locked, m.m_owner) with
+    (match (m.m_locked, owner m) with
     | true, None -> report (m.m_name ^ " is locked but has no owner")
     | false, Some o ->
         report (m.m_name ^ " has owner " ^ o.tname ^ " but is not locked")
     | _ -> ());
-    (match m.m_owner with
+    (match owner m with
     | Some o when m.m_locked ->
         if o.state = Terminated then
           report
@@ -27,15 +27,15 @@ let find_violation eng ~final =
              acquisition bookkeeping: a direct hand-off (release_transfer)
              names the new owner before that thread has run again. *)
           (match m.m_protocol with
-          | Inherit_protocol -> (
-              match Wait_queue.highest_prio m.m_waiters with
-              | Some p when o.prio < p ->
-                  report
-                    (Printf.sprintf
-                       "inheritance discipline violated: %s holds %s at prio \
-                        %d while a waiter has prio %d"
-                       o.tname m.m_name o.prio p)
-              | Some _ | None -> ())
+          | Inherit_protocol ->
+              (* -1 with no waiter, below every priority *)
+              let p = Wait_queue.highest_prio m.m_waiters in
+              if o.prio < p then
+                report
+                  (Printf.sprintf
+                     "inheritance discipline violated: %s holds %s at prio \
+                      %d while a waiter has prio %d"
+                     o.tname m.m_name o.prio p)
           | Ceiling_protocol ->
               if o.prio < m.m_ceiling then
                 report
@@ -56,15 +56,14 @@ let find_violation eng ~final =
     if final && m.m_locked then
       report
         (m.m_name ^ " still locked at process exit"
-        ^ match m.m_owner with Some o -> " (owner " ^ o.tname ^ ")" | None -> "")
+        ^ match owner m with Some o -> " (owner " ^ o.tname ^ ")" | None -> "")
   in
   let check_cond c =
-    (match c.c_mutex with
-    | Some _ when Wait_queue.is_empty c.c_waiters ->
-        report (c.c_name ^ " is bound to a mutex but has no waiters")
-    | None when not (Wait_queue.is_empty c.c_waiters) ->
-        report (c.c_name ^ " has waiters but no bound mutex")
-    | _ -> ());
+    let bound = c.c_mutex != nil_mutex in
+    if bound && Wait_queue.is_empty c.c_waiters then
+      report (c.c_name ^ " is bound to a mutex but has no waiters")
+    else if (not bound) && not (Wait_queue.is_empty c.c_waiters) then
+      report (c.c_name ^ " has waiters but no bound mutex");
     Wait_queue.iter c.c_waiters (fun w ->
         match w.state with
         | Blocked (On_cond c') when c' == c -> ()
@@ -78,7 +77,7 @@ let find_violation eng ~final =
       report (Printf.sprintf "%s has out-of-range prio %d" t.tname t.prio);
     List.iter
       (fun m ->
-        (match m.m_owner with
+        (match owner m with
         | Some o when o == t -> ()
         | _ ->
             report
@@ -86,10 +85,10 @@ let find_violation eng ~final =
                  t.tname m.m_name));
         if not m.m_locked then
           report (m.m_name ^ " is in an owned list but not locked"))
-      t.owned
+      (owned_list t)
   in
-  List.iter check_mutex (List.rev eng.all_mutexes);
-  List.iter check_cond (List.rev eng.all_conds);
+  Engine.iter_mutexes eng check_mutex;
+  Engine.iter_conds eng check_cond;
   Engine.iter_threads eng check_thread;
   !bad
 

@@ -13,9 +13,9 @@ type stream = {
 (* Writing a buffer to the device models a write(2). *)
 let device_write proc st =
   if Buffer.length st.buf > 0 then begin
-    Vm.Unix_kernel.trap proc.Types.vm ~name:"write" (fun () ->
-        Buffer.add_buffer st.device st.buf;
-        Buffer.clear st.buf)
+    Vm.Unix_kernel.trap proc.Types.vm Write;
+    Buffer.add_buffer st.device st.buf;
+    Buffer.clear st.buf
   end
 
 let make proc ?(name = "stream") ?(buffer_bytes = 128) () =

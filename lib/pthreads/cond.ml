@@ -9,51 +9,62 @@ let create eng ?name () =
     match name with Some n -> n | None -> "cond-" ^ string_of_int id
   in
   Engine.charge eng Costs.attr_op;
-  let c = { c_id = id; c_name; c_waiters = Wait_queue.create (); c_mutex = None } in
-  eng.all_conds <- c :: eng.all_conds;
+  let c_waiters = Wait_queue.create () in
+  let rec c =
+    {
+      c_id = id;
+      c_name;
+      c_waiters;
+      c_mutex = nil_mutex;
+      c_blocked = Blocked (On_cond c);
+      c_census_next = nil_cond;
+      c_census_prev = nil_cond;
+    }
+  in
+  Engine.census_add_cond eng c;
   c
 
+(* A timed wait arms a one-shot SIGALRM for its deadline.  The wait is
+   over on every path (signal, interruption, timeout): a still-armed alarm
+   would otherwise fire later against a thread that is no longer waiting,
+   spuriously interrupting whatever it blocks on next.  On timeout the
+   timer usually fired already and the disarm is a no-op — but a lost
+   concurrent alarm can leave it armed even then (the scheduler wakes
+   expired sleepers itself). *)
+let block_until eng self deadline =
+  Engine.set_wait_deadline eng self ~deadline;
+  let timer =
+    Unix_kernel.arm_timer eng.vm ~after_ns:(max 0 (deadline - Engine.now eng))
+      ~interval_ns:0 ~signo:Sigset.sigalrm ~origin:(Unix_kernel.Timer self.tid)
+  in
+  let wake = Engine.block eng in
+  Unix_kernel.disarm_timer eng.vm timer;
+  wake
+
+(* [deadline] is absolute, [no_deadline] for an untimed wait. *)
 let wait_internal eng c m ~deadline =
   Engine.checkpoint eng;
   Engine.test_cancel eng;
   let self = Engine.current eng in
   Engine.touch eng (Engine.key_cond c.c_id);
   Engine.touch eng (Engine.key_mutex m.m_id);
-  (match m.m_owner with
-  | Some o when o == self -> ()
-  | _ -> raise (Error (Errno.EPERM, "Cond.wait: mutex " ^ m.m_name ^ " not held by caller")));
+  if m.m_owner != self then
+    raise (Error (Errno.EPERM, "Cond.wait: mutex " ^ m.m_name ^ " not held by caller"));
   Engine.enter_kernel eng;
   Engine.charge eng Costs.cond_op;
-  (match c.c_mutex with
-  | Some bound when bound != m ->
-      raise (Error (Errno.EINVAL, "Cond.wait: " ^ c.c_name ^ " is bound to " ^ bound.m_name))
-  | Some _ | None -> c.c_mutex <- Some m);
+  let bound = c.c_mutex in
+  if bound == nil_mutex then c.c_mutex <- m
+  else if bound != m then
+    raise (Error (Errno.EINVAL, "Cond.wait: " ^ c.c_name ^ " is bound to " ^ bound.m_name));
   (* release the mutex atomically with the suspension *)
   Mutex.release_in_kernel eng m;
-  self.state <- Blocked (On_cond c);
+  self.state <- c.c_blocked;
   Wait_queue.push_tail c.c_waiters self;
-  Engine.trace eng self (Trace.Cond_block c.c_name);
-  let timer_id =
-    match deadline with
-    | Some d ->
-        Engine.set_wait_deadline eng self ~deadline:d;
-        let after_ns = max 0 (d - Engine.now eng) in
-        Some
-          (Unix_kernel.arm_timer eng.vm ~after_ns ~interval_ns:0
-             ~signo:Sigset.sigalrm
-             ~origin:(Unix_kernel.Timer self.tid))
-    | None -> None
+  if Engine.tracing eng then Engine.trace eng self (Trace.Cond_block c.c_name);
+  let wake =
+    if deadline = no_deadline then Engine.block eng
+    else block_until eng self deadline
   in
-  let wake = Engine.block eng in
-  (* The wait is over on every path (signal, interruption, timeout): a
-     still-armed one-shot SIGALRM would otherwise fire later against a
-     thread that is no longer waiting, spuriously interrupting whatever
-     it blocks on next.  On timeout the timer usually fired already and
-     the disarm is a no-op — but a lost concurrent alarm can leave it
-     armed even then (the scheduler wakes expired sleepers itself). *)
-  (match timer_id with
-  | Some id -> Unix_kernel.disarm_timer eng.vm id
-  | None -> ());
   self.wait_deadline <- no_deadline;
   (* A signaled wake carries the signaler's happens-before edge: join the
      clock published at the cond.  Spurious and timed-out wakes carry no
@@ -66,15 +77,13 @@ let wait_internal eng c m ~deadline =
   match wake with
   | Wake_normal -> Signaled
   | Wake_timeout -> Timed_out
-  | Wake_interrupted -> (
-      match deadline with
-      | Some d when Engine.now eng >= d -> Timed_out
-      | _ -> Interrupted)
+  | Wake_interrupted ->
+      if deadline <> no_deadline && Engine.now eng >= deadline then Timed_out
+      else Interrupted
 
-let wait eng c m = wait_internal eng c m ~deadline:None
+let wait eng c m = wait_internal eng c m ~deadline:no_deadline
 
-let wait_until eng c m ~deadline_ns =
-  wait_internal eng c m ~deadline:(Some deadline_ns)
+let wait_until eng c m ~deadline_ns = wait_internal eng c m ~deadline:deadline_ns
 
 let signal eng c =
   Engine.checkpoint eng;
@@ -82,13 +91,23 @@ let signal eng c =
   Engine.san_publish eng (Engine.key_cond c.c_id);
   Engine.enter_kernel eng;
   Engine.charge eng Costs.cond_op;
-  (match Wait_queue.peek_highest c.c_waiters with
-  | None -> ()
-  | Some w ->
-      Engine.trace eng w (Trace.Cond_wake c.c_name);
-      Engine.unblock eng w Wake_normal);
+  let w = Wait_queue.peek_highest c.c_waiters in
+  if w != nil_tcb then begin
+    if Engine.tracing eng then Engine.trace eng w (Trace.Cond_wake c.c_name);
+    Engine.unblock eng w Wake_normal
+  end;
   Engine.leave_kernel eng;
   Engine.drain_fake_calls eng
+
+(* Make every waiter ready, returning the best woken priority. *)
+let rec wake_all eng c best =
+  let w = Wait_queue.peek_highest c.c_waiters in
+  if w == nil_tcb then best
+  else begin
+    if Engine.tracing eng then Engine.trace eng w (Trace.Cond_wake c.c_name);
+    let best = if Engine.unblock_core eng w Wake_normal then max best w.prio else best in
+    wake_all eng c best
+  end
 
 let broadcast eng c =
   Engine.checkpoint eng;
@@ -98,18 +117,7 @@ let broadcast eng c =
   Engine.charge eng Costs.cond_op;
   (* the whole burst is one kernel-flag round: each waiter is made ready
      without a per-wake preemption test, then one test covers them all *)
-  let rec wake_all best =
-    match Wait_queue.peek_highest c.c_waiters with
-    | None -> best
-    | Some w ->
-        Engine.trace eng w (Trace.Cond_wake c.c_name);
-        let best =
-          if Engine.unblock_core eng w Wake_normal then max best w.prio
-          else best
-        in
-        wake_all best
-  in
-  Engine.flag_if_preempts eng (wake_all min_int);
+  Engine.flag_if_preempts eng (wake_all eng c min_int);
   Engine.leave_kernel eng;
   Engine.drain_fake_calls eng
 

@@ -27,7 +27,7 @@ let snapshot t =
       List.fold_left (fun acc p -> Sigset.add acc p.p_signo) Sigset.empty
         t.thr_pending;
     ti_cancel_pending = t.cancel_pending;
-    ti_held_mutexes = List.map (fun m -> m.m_name) t.owned;
+    ti_held_mutexes = List.map (fun m -> m.m_name) (owned_list t);
     ti_cleanup_depth = List.length t.cleanup;
     ti_switches_in = t.n_switches_in;
   }
@@ -79,7 +79,7 @@ let wait_edges eng =
     (fun t ->
       match t.state with
       | Blocked (On_mutex m) -> (
-          match m.m_owner with
+          match owner m with
           | Some o ->
               Some { we_thread = snapshot t; we_mutex = m.m_name; we_owner = snapshot o }
           | None -> None)
@@ -92,7 +92,7 @@ let find_deadlocks eng =
   let next t =
     match t.state with
     | Blocked (On_mutex m) -> (
-        match m.m_owner with Some o -> Some (m, o) | None -> None)
+        match owner m with Some o -> Some (m, o) | None -> None)
     | _ -> None
   in
   let cycles = ref [] in

@@ -9,6 +9,11 @@ let trace eng t kind =
   Trace.record eng.trace ~t_ns:(Unix_kernel.now eng.vm) ~tid:t.tid
     ~tname:t.tname kind
 
+(* Trace kinds that carry a payload ([Mutex_lock name], [Prio_change]...)
+   are built only under this test: the constructor allocates before
+   [trace] can look at the enabled flag. *)
+let tracing eng = Trace.enabled eng.trace
+
 (* Every kernel-flag write funnels through here so that traced runs carry
    a Kernel_enter/Kernel_exit pair per monitor occupancy (the counter
    track behind the observability layer's kernel-flag timeline).  Traces
@@ -144,12 +149,13 @@ let is_registered eng t =
 
 let thread_table_add eng t =
   let tt = eng.threads in
+  let some_t = Some t in
   t.at_prev <- tt.tt_tail;
   t.at_next <- None;
   (match tt.tt_tail with
-  | Some tail -> tail.at_next <- Some t
-  | None -> tt.tt_head <- Some t);
-  tt.tt_tail <- Some t;
+  | Some tail -> tail.at_next <- some_t
+  | None -> tt.tt_head <- some_t);
+  tt.tt_tail <- some_t;
   tt.tt_count <- tt.tt_count + 1;
   let n = Array.length tt.tt_slots in
   if t.tid >= n then begin
@@ -157,7 +163,7 @@ let thread_table_add eng t =
     Array.blit tt.tt_slots 0 arr 0 n;
     tt.tt_slots <- arr
   end;
-  tt.tt_slots.(t.tid) <- Some t
+  tt.tt_slots.(t.tid) <- some_t
 
 let thread_table_remove eng t =
   if is_registered eng t then begin
@@ -199,6 +205,67 @@ let fold_threads eng f acc =
 let thread_list eng = List.rev (fold_threads eng (fun acc t -> t :: acc) [])
 let thread_count eng = eng.threads.tt_count
 
+(* ------------------------------------------------------------------ *)
+(* The object census: live mutexes and conds in creation order, for     *)
+(* the invariant checker.  Intrusive, so retiring an object is O(1).    *)
+(* ------------------------------------------------------------------ *)
+
+let census_add_mutex eng m =
+  let last = eng.census_mutexes_last in
+  m.m_census_prev <- last;
+  m.m_census_next <- nil_mutex;
+  if last == nil_mutex then eng.census_mutexes <- m else last.m_census_next <- m;
+  eng.census_mutexes_last <- m
+
+(* A no-op for an object already retired (its links are cleared and it is
+   no longer the head). *)
+let census_remove_mutex eng m =
+  if m.m_census_prev != nil_mutex || eng.census_mutexes == m then begin
+    let prev = m.m_census_prev and next = m.m_census_next in
+    if prev == nil_mutex then eng.census_mutexes <- next else prev.m_census_next <- next;
+    if next == nil_mutex then eng.census_mutexes_last <- prev
+    else next.m_census_prev <- prev;
+    m.m_census_prev <- nil_mutex;
+    m.m_census_next <- nil_mutex
+  end
+
+let iter_mutexes eng f =
+  let rec go m =
+    if m != nil_mutex then begin
+      let next = m.m_census_next in
+      f m;
+      go next
+    end
+  in
+  go eng.census_mutexes
+
+let census_add_cond eng c =
+  let last = eng.census_conds_last in
+  c.c_census_prev <- last;
+  c.c_census_next <- nil_cond;
+  if last == nil_cond then eng.census_conds <- c else last.c_census_next <- c;
+  eng.census_conds_last <- c
+
+let census_remove_cond eng c =
+  if c.c_census_prev != nil_cond || eng.census_conds == c then begin
+    let prev = c.c_census_prev and next = c.c_census_next in
+    if prev == nil_cond then eng.census_conds <- next else prev.c_census_next <- next;
+    if next == nil_cond then eng.census_conds_last <- prev
+    else next.c_census_prev <- prev;
+    c.c_census_prev <- nil_cond;
+    c.c_census_next <- nil_cond
+  end
+
+let iter_conds eng f =
+  let rec go c =
+    if c != nil_cond then begin
+      let next = c.c_census_next in
+      f c;
+      go next
+    end
+  in
+  go eng.census_conds
+
 let fresh_tid eng =
   match eng.free_tids with
   | tid :: rest ->
@@ -233,7 +300,7 @@ let default_config profile =
 
 let rec set_effective_prio eng t new_prio ~at_head =
   if new_prio <> t.prio then begin
-    trace eng t (Trace.Prio_change (t.prio, new_prio));
+    if tracing eng then trace eng t (Trace.Prio_change (t.prio, new_prio));
     (* priority changes are cross-thread interactions (inheritance boosts,
        ceiling pops): the explorer must consider reordering them against
        the affected thread's steps, so they join the footprint *)
@@ -246,21 +313,20 @@ let rec set_effective_prio eng t new_prio ~at_head =
         else Ready_queue.push_tail eng t;
         if new_prio > eng.current.prio && eng.current.state = Running then
           eng.dispatcher_flag <- true
-    | Running -> (
+    | Running ->
         t.prio <- new_prio;
-        match Ready_queue.highest_prio eng with
-        | Some p when p > new_prio -> eng.dispatcher_flag <- true
-        | Some _ | None -> ())
+        if Ready_queue.highest_prio eng > new_prio then eng.dispatcher_flag <- true
     | Blocked (On_mutex m) -> (
         let old_prio = t.prio in
         t.prio <- new_prio;
         Wait_queue.reposition m.m_waiters t ~old_prio;
         (* Propagate an inheritance boost down the blocking chain. *)
-        match (m.m_owner, m.m_protocol) with
-        | Some o, Inherit_protocol when o.prio < new_prio ->
-            charge eng Costs.inherit_search_per_mutex;
-            set_effective_prio eng o new_prio ~at_head:true
-        | _ -> ())
+        let o = m.m_owner in
+        if o != nil_tcb && m.m_protocol = Inherit_protocol && o.prio < new_prio
+        then begin
+          charge eng Costs.inherit_search_per_mutex;
+          set_effective_prio eng o new_prio ~at_head:true
+        end)
     | Blocked (On_cond c) ->
         let old_prio = t.prio in
         t.prio <- new_prio;
@@ -272,21 +338,21 @@ let rec set_effective_prio eng t new_prio ~at_head =
   end
 
 let recompute_inherited_prio eng o =
-  let cand =
-    List.fold_left
-      (fun acc m ->
-        charge eng Costs.inherit_search_per_mutex;
+  let rec search acc m =
+    if m == nil_mutex then acc
+    else begin
+      charge eng Costs.inherit_search_per_mutex;
+      let acc =
         match m.m_protocol with
-        | Inherit_protocol -> (
-            match Wait_queue.highest_prio m.m_waiters with
-            | Some p -> max acc p
-            | None -> acc)
+        | Inherit_protocol -> max acc (Wait_queue.highest_prio m.m_waiters)
         | Ceiling_protocol when eng.cfg.ceiling_mode = Recompute ->
             max acc m.m_ceiling
-        | Ceiling_protocol | No_protocol -> acc)
-      o.base_prio o.owned
+        | Ceiling_protocol | No_protocol -> acc
+      in
+      search acc m.m_held_next
+    end
   in
-  set_effective_prio eng o cand ~at_head:true
+  set_effective_prio eng o (search o.base_prio o.owned) ~at_head:true
 
 (* ------------------------------------------------------------------ *)
 (* The sleep heap: timed waiters indexed by deadline                   *)
@@ -355,14 +421,15 @@ let sleep_pop_root h =
     sleep_sift_down h
   end
 
-(* Earliest live timed-wait deadline (dead entries are dropped on the
-   way) — the idle loop's replacement for a fold over all threads. *)
+(* Earliest live timed-wait deadline, [no_deadline] when none (dead
+   entries are dropped on the way) — the idle loop's replacement for a
+   fold over all threads. *)
 let rec sleep_next_deadline eng =
   let h = eng.sleeps in
-  if h.sh_len = 0 then None
+  if h.sh_len = 0 then no_deadline
   else
     let e = h.sh_arr.(0) in
-    if sleep_entry_live e then Some e.se_d
+    if sleep_entry_live e then e.se_d
     else begin
       sleep_pop_root h;
       sleep_next_deadline eng
@@ -390,15 +457,13 @@ let unblock_core eng t wake =
   match t.state with
   | Blocked reason ->
       (match reason with
-      | On_mutex m -> (
+      | On_mutex m ->
           Wait_queue.remove m.m_waiters t;
-          match m.m_owner with
-          | Some o when m.m_protocol = Inherit_protocol ->
-              recompute_inherited_prio eng o
-          | _ -> ())
+          if m.m_owner != nil_tcb && m.m_protocol = Inherit_protocol then
+            recompute_inherited_prio eng m.m_owner
       | On_cond c ->
           Wait_queue.remove c.c_waiters t;
-          if Wait_queue.is_empty c.c_waiters then c.c_mutex <- None
+          if Wait_queue.is_empty c.c_waiters then c.c_mutex <- nil_mutex
       | On_join target -> Wait_queue.remove target.joiners t
       | On_sigwait _ -> t.sigwait_set <- Sigset.empty
       | On_start ->
@@ -451,87 +516,92 @@ let eligible t s =
 let wake_expired_sleepers eng =
   let time = Unix_kernel.now eng.vm in
   let h = eng.sleeps in
-  let due = ref [] in
+  (* the first due sleeper is held apart so the usual single wake builds
+     no list *)
+  let first = ref nil_tcb and due = ref [] in
   let draining = ref true in
   while !draining && h.sh_len > 0 do
     let e = h.sh_arr.(0) in
     if sleep_entry_live e && e.se_d > time then draining := false
     else begin
       sleep_pop_root h;
-      if sleep_entry_live e then due := e.se_t :: !due
+      if sleep_entry_live e then
+        if !first == nil_tcb then first := e.se_t else due := e.se_t :: !due
     end
   done;
-  match !due with
-  | [] -> ()
-  | [ t ] -> if unblock_core eng t Wake_timeout then flag_if_preempts eng t.prio
-  | ts ->
-      (* wake in creation (tid) order, as the all-threads scan this
-         replaces did; one preemption test for the whole burst *)
-      let ts = List.sort (fun a b -> compare a.tid b.tid) ts in
-      let best =
-        List.fold_left
-          (fun best t ->
-            if unblock_core eng t Wake_timeout then max best t.prio else best)
-          min_int ts
-      in
-      flag_if_preempts eng best
+  if !first == nil_tcb then ()
+  else if !due = [] then begin
+    let t = !first in
+    if unblock_core eng t Wake_timeout then flag_if_preempts eng t.prio
+  end
+  else
+    let ts = !due @ [ !first ] in
+    (* wake in creation (tid) order, as the all-threads scan this
+       replaces did; one preemption test for the whole burst *)
+    let ts = List.sort (fun a b -> compare a.tid b.tid) ts in
+    let best =
+      List.fold_left
+        (fun best t ->
+          if unblock_core eng t Wake_timeout then max best t.prio else best)
+        min_int ts
+    in
+    flag_if_preempts eng best
+
+(* Rule 5: linear search of the list of all threads, in creation order
+   (kept deliberately linear — the paper's design); [nil_tcb] if none. *)
+let rec search_eligible eng s = function
+  | None -> nil_tcb
+  | Some t ->
+      charge eng Costs.signal_search_per_thread;
+      if eligible t s then t else search_eligible eng s t.at_next
+
+let live_thread eng tid =
+  match find_thread eng tid with
+  | Some t when Tcb.is_live t -> t
+  | Some _ | None -> nil_tcb
 
 (* Recipient resolution (6 rules) and action resolution (7 rules), straight
-   from the paper's "Signal Handling" section. *)
-let rec direct_signal eng p =
+   from the paper's "Signal Handling" section.  A signal travels as its
+   three fields; a [pending_sig] record is built only where one is stored
+   (thread, process or deferred pending). *)
+let rec direct_signal eng s code origin =
   charge eng Costs.signal_direct;
-  let s = p.p_signo in
-  let live tid =
-    match find_thread eng tid with
-    | Some t when Tcb.is_live t -> Some t
-    | Some _ | None -> None
-  in
   let recipient =
-    match p.p_origin with
+    match origin with
     (* rules 1-4: directed, synchronous, timer, I/O *)
     | Unix_kernel.Directed tid
     | Unix_kernel.Sync tid
     | Unix_kernel.Timer tid
     | Unix_kernel.Io tid ->
-        live tid
+        live_thread eng tid
     | Unix_kernel.Slice ->
-        if eng.current.state = Running then Some eng.current else None
-    | Unix_kernel.External ->
-        (* rule 5: linear search of the list of all threads, in creation
-           order (kept deliberately linear — the paper's design) *)
-        let rec search = function
-          | None -> None
-          | Some t ->
-              charge eng Costs.signal_search_per_thread;
-              if eligible t s then Some t else search t.at_next
-        in
-        search eng.threads.tt_head
+        if eng.current.state = Running then eng.current else nil_tcb
+    | Unix_kernel.External -> search_eligible eng s eng.threads.tt_head
   in
-  match recipient with
-  | Some t -> act_on eng t p
-  | None -> (
-      match p.p_origin with
-      | Unix_kernel.Slice -> ()
-      | _ ->
-          (* rule 6: pend on the process until a thread becomes eligible
-             (stored newest-first; drained oldest-first) *)
-          eng.proc_pending <- p :: eng.proc_pending)
+  if recipient != nil_tcb then act_on eng recipient s code origin
+  else
+    match origin with
+    | Unix_kernel.Slice -> ()
+    | _ ->
+        (* rule 6: pend on the process until a thread becomes eligible
+           (stored newest-first; drained oldest-first) *)
+        eng.proc_pending <-
+          { p_signo = s; p_code = code; p_origin = origin } :: eng.proc_pending
 
-and act_on eng t p =
-  let s = p.p_signo in
+and act_on eng t s code origin =
   if s = Sigset.sigcancel then handle_cancel_signal eng t
   else if Sigset.mem t.sigmask s && not (Sigset.mem t.sigwait_set s) then
     (* action rule 1: masked -> pend on the thread (newest first) *)
-    t.thr_pending <- p :: t.thr_pending
+    t.thr_pending <- { p_signo = s; p_code = code; p_origin = origin } :: t.thr_pending
   else begin
     let timer_origin =
-      match p.p_origin with
+      match origin with
       | Unix_kernel.Timer _ | Unix_kernel.Slice -> true
       | _ -> false
     in
     if s = Sigset.sigalrm && timer_origin then
       (* action rule 2: alarm from a timer expiration *)
-      match (p.p_origin, t.state) with
+      match (origin, t.state) with
       | Unix_kernel.Slice, Running
         when t == eng.current && t.sched_override <> Some Sched_fifo ->
           (* time-slicing: position at the tail of the ready queue (threads
@@ -558,7 +628,7 @@ and act_on eng t p =
       | _, _ -> wake_expired_sleepers eng
     else if
       s = Sigset.sigio
-      && (match p.p_origin with Unix_kernel.Io _ -> true | _ -> false)
+      && (match origin with Unix_kernel.Io _ -> true | _ -> false)
     then begin
       (* I/O completions are level-triggered: concurrent completions can
          share one (non-queuing) SIGIO, so a woken waiter re-checks its own
@@ -591,10 +661,10 @@ and act_on eng t p =
         | Sig_handler { h_mask; h_fn } ->
             charge eng Costs.fake_call_setup;
             eng.n_thread_signals <- eng.n_thread_signals + 1;
-            trace eng t (Trace.Signal_delivered s);
+            if tracing eng then trace eng t (Trace.Signal_delivered s);
             t.fake_frames <-
               Fake_handler
-                { fh_signo = s; fh_code = p.p_code; fh_mask = h_mask; fh_fn = h_fn }
+                { fh_signo = s; fh_code = code; fh_mask = h_mask; fh_fn = h_fn }
               :: t.fake_frames;
             (match t.state with
             | Blocked (On_mutex _ | On_start | On_suspend) -> ()
@@ -613,10 +683,10 @@ and act_on eng t p =
               (* action rule 4: install a fake call *)
               charge eng Costs.fake_call_setup;
               eng.n_thread_signals <- eng.n_thread_signals + 1;
-              trace eng t (Trace.Signal_delivered s);
+              if tracing eng then trace eng t (Trace.Signal_delivered s);
               t.fake_frames <-
                 Fake_handler
-                  { fh_signo = s; fh_code = p.p_code; fh_mask = h_mask; fh_fn = h_fn }
+                  { fh_signo = s; fh_code = code; fh_mask = h_mask; fh_fn = h_fn }
                 :: t.fake_frames;
               match t.state with
               | Blocked (On_mutex _ | On_start | On_suspend | On_shared _) ->
@@ -679,14 +749,14 @@ let recheck_thread_pending eng t =
     in
     t.thr_pending <- still;
     (* the list is stored newest-first; deliver oldest-first *)
-    List.iter (fun p -> act_on eng t p) (List.rev deliverable)
+    List.iter (fun p -> act_on eng t p.p_signo p.p_code p.p_origin) (List.rev deliverable)
   end
 
 let recheck_proc_pending eng =
   if eng.proc_pending <> [] then begin
     let ps = List.rev eng.proc_pending in
     eng.proc_pending <- [];
-    List.iter (fun p -> direct_signal eng p) ps
+    List.iter (fun p -> direct_signal eng p.p_signo p.p_code p.p_origin) ps
   end
 
 (* The universal signal handler: installed at the UNIX level for every
@@ -696,16 +766,15 @@ let recheck_proc_pending eng =
    dispatch and re-disables signals before returning (sigsetmask #2) — the
    paper's "two calls to sigsetmask for each signal received". *)
 let universal_handler eng ~signo ~code ~origin =
-  let p = { p_signo = signo; p_code = code; p_origin = origin } in
   if eng.kernel_flag then begin
-    eng.deferred <- p :: eng.deferred;
+    eng.deferred <- { p_signo = signo; p_code = code; p_origin = origin } :: eng.deferred;
     eng.dispatcher_flag <- true
   end
   else begin
     set_kernel_flag eng true;
     charge eng Costs.kernel_enter;
     ignore (Unix_kernel.sigsetmask eng.vm Sigset.empty : Sigset.t);
-    direct_signal eng p;
+    direct_signal eng signo code origin;
     eng.dispatcher_flag <- true;
     ignore (Unix_kernel.sigsetmask eng.vm Sigset.all_maskable : Sigset.t);
     charge eng Costs.kernel_exit;
@@ -735,7 +804,7 @@ let rec dispatch eng : wake =
        handling may change the thread to be dispatched next *)
     let ds = List.rev eng.deferred in
     eng.deferred <- [];
-    List.iter (fun p -> direct_signal eng p) ds;
+    List.iter (fun p -> direct_signal eng p.p_signo p.p_code p.p_origin) ds;
     dispatch eng
   end
   else begin
@@ -743,15 +812,15 @@ let rec dispatch eng : wake =
     let cur = eng.current in
     let stay =
       match cur.state with
-      | Running -> (
-          match Ready_queue.highest_prio eng with
-          | Some p when p > cur.prio ->
-              (* preempted: the thread goes to the head of its level *)
-              cur.state <- Ready;
-              Ready_queue.push_head eng cur;
-              trace eng cur Trace.Ready;
-              false
-          | Some _ | None -> true)
+      | Running ->
+          if Ready_queue.highest_prio eng > cur.prio then begin
+            (* preempted: the thread goes to the head of its level *)
+            cur.state <- Ready;
+            Ready_queue.push_head eng cur;
+            trace eng cur Trace.Ready;
+            false
+          end
+          else true
       | Ready | Blocked _ | Terminated -> false
     in
     if stay then begin
@@ -855,11 +924,14 @@ let rec drain_fake_calls eng =
           charge eng Costs.wrapper;
           let saved_errno = t.errno and saved_mask = t.sigmask in
           t.sigmask <- Sigset.add (Sigset.union t.sigmask fh_mask) fh_signo;
-          Fun.protect
-            ~finally:(fun () ->
+          (match fh_fn ~signo:fh_signo ~code:fh_code with
+          | () ->
               t.errno <- saved_errno;
-              t.sigmask <- saved_mask)
-            (fun () -> fh_fn ~signo:fh_signo ~code:fh_code);
+              t.sigmask <- saved_mask
+          | exception e ->
+              t.errno <- saved_errno;
+              t.sigmask <- saved_mask;
+              raise e);
           (* pending signals on the thread and process are handled if now
              enabled *)
           recheck_thread_pending eng t;
@@ -929,7 +1001,7 @@ let register_thread eng t =
   (match eng.probes with
   | [] -> ()
   | ps -> emit (San_create { c_child = t.tid }) ps);
-  trace eng t (Trace.Thread_create t.tname);
+  if tracing eng then trace eng t (Trace.Thread_create t.tname);
   charge eng Costs.create_thread;
   match t.state with
   | Ready ->
@@ -982,7 +1054,8 @@ let finish_current eng status =
   eng.live_count <- eng.live_count - 1;
   emit San_exit eng.probes;
   trace eng t Trace.Thread_exit;
-  if t.owned <> [] then trace eng t (Trace.Note "terminated while holding mutexes");
+  if t.owned != nil_mutex then
+    trace eng t (Trace.Note "terminated while holding mutexes");
   (* all joiners wake at once: one preemption test for the burst *)
   let rec wake_joiners best =
     match Wait_queue.pop_highest t.joiners with
@@ -1020,19 +1093,7 @@ let fiber_body eng t body () =
       eng.live_count <- eng.live_count - 1
 
 let start_fiber eng t body =
-  Effect.Deep.match_with (fiber_body eng t body) ()
-    {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  eng.current.cont <- Saved k)
-          | _ -> None);
-    }
+  Effect.Deep.match_with (fiber_body eng t body) () eng.fiber_handler
 
 let resume_thread eng t =
   (* The switch is announced *before* the dispatch is committed: [t] is
@@ -1089,38 +1150,41 @@ let run_scheduler eng =
                      [])
               in
               match candidates with
-              | [] -> None
+              | [] -> nil_tcb
               | cs ->
                   let t = choose cs in
                   Ready_queue.remove eng t;
-                  trace eng t
-                    (Trace.Sched_decision
-                       (List.map (fun c -> c.tid) cs, t.tid));
-                  Some t)
+                  if tracing eng then
+                    trace eng t
+                      (Trace.Sched_decision
+                         (List.map (fun c -> c.tid) cs, t.tid));
+                  t)
           | None ->
               if eng.pick_random_next then begin
                 eng.pick_random_next <- false;
-                Ready_queue.pop_random eng eng.rng
+                match Ready_queue.pop_random eng eng.rng with
+                | Some t -> t
+                | None -> nil_tcb
               end
-              else Ready_queue.pop_highest eng
+              else begin
+                let t = Wait_queue.peek_highest eng.ready in
+                if t != nil_tcb then Ready_queue.remove eng t;
+                t
+              end
         in
-        match next with
-        | Some t ->
-            resume_thread eng t;
-            loop ()
-        | None -> (
+        if next != nil_tcb then begin
+          resume_thread eng next;
+          loop ()
+        end
+        else begin
             (* everyone is blocked: advance the clock to the next timer or
                I/O completion; with none, wake any sleeper whose deadline
                passed while its (lost) alarm never arrived; otherwise the
                process is deadlocked. *)
-            let engine_next =
-              match
-                (Unix_kernel.next_event_time eng.vm, sleep_next_deadline eng)
-              with
-              | Some a, Some b -> Some (min a b)
-              | (Some _ as s), None | None, (Some _ as s) -> s
-              | None, None -> None
+            let next =
+              min (Unix_kernel.next_event_time eng.vm) (sleep_next_deadline eng)
             in
+            let engine_next = if next = max_int then None else Some next in
             (* the backend sleeps until the next event: the virtual one
                advances the clock to the deadline (deadlock when there is
                none); the Unix one blocks in select and may wake on
@@ -1130,7 +1194,8 @@ let run_scheduler eng =
               wake_expired_sleepers eng;
               loop ()
             end
-            else eng.stop_reason <- Some (Deadlock (describe_blocked eng)))
+            else eng.stop_reason <- Some (Deadlock (describe_blocked eng))
+        end
       end
     end
   in
@@ -1144,16 +1209,16 @@ let run_scheduler eng =
 (* ------------------------------------------------------------------ *)
 
 let send_signal eng signo ~code ~origin =
-  trace eng eng.current (Trace.Signal_sent signo);
+  if tracing eng then trace eng eng.current (Trace.Signal_sent signo);
   touch eng (key_signal signo);
   (match origin with
   | Unix_kernel.Directed tid -> touch eng (key_thread tid)
   | _ -> ());
-  direct_signal eng { p_signo = signo; p_code = code; p_origin = origin };
+  direct_signal eng signo code origin;
   eng.dispatcher_flag <- true
 
 let post_external eng signo ?(code = 0) () =
-  trace eng eng.current (Trace.Signal_sent signo);
+  if tracing eng then trace eng eng.current (Trace.Signal_sent signo);
   touch eng (key_signal signo);
   Unix_kernel.kill eng.vm signo ~code ~origin:Unix_kernel.External ()
 
@@ -1233,31 +1298,36 @@ let make ?clock ?backend cfg ~main =
     Tcb.make ~tid:0 ~name:"main" ~prio:cfg.main_prio ~detached:false
       ~body:main ~deferred:false
   in
-  let eng =
+  let rng = Rng.create cfg.seed
+  and ready = Wait_queue.create ()
+  and threads =
+    { tt_head = None; tt_tail = None; tt_count = 0; tt_slots = Array.make 64 None }
+  and sleeps = { sh_arr = [||]; sh_len = 0 }
+  and actions = Array.make (Sigset.max_signo + 1) Sig_default
+  and tsd_destructors = Array.make max_tsd_keys None in
+  (* The handler's answer to [Suspend] is built once too: [effc] runs on
+     every context switch. *)
+  let rec save_current =
+    Some (fun (k : (wake, unit) Effect.Deep.continuation) -> eng.current.cont <- Saved k)
+  and eng =
     {
       vm;
       backend;
       heap;
       trace = trace_rec;
       cfg;
-      rng = Rng.create cfg.seed;
+      rng;
       kernel_flag = false;
       dispatcher_flag = false;
       deferred = [];
       current = main_tcb;
-      ready = Wait_queue.create ();
-      threads =
-        {
-          tt_head = None;
-          tt_tail = None;
-          tt_count = 0;
-          tt_slots = Array.make 64 None;
-        };
-      sleeps = { sh_arr = [||]; sh_len = 0 };
+      ready;
+      threads;
+      sleeps;
       next_tid = 1;
       free_tids = [];
       next_obj = 1;
-      actions = Array.make (Sigset.max_signo + 1) Sig_default;
+      actions;
       proc_pending = [];
       pick_random_next = false;
       live_count = 1;
@@ -1265,17 +1335,28 @@ let make ?clock ?backend cfg ~main =
       n_dispatches = 0;
       n_created = 0;
       n_thread_signals = 0;
-      tsd_destructors = Array.make max_tsd_keys None;
+      tsd_destructors;
       tsd_next = 0;
       stop_reason = None;
       in_fiber = false;
       probes = [];
       explore_hook = None;
-      all_mutexes = [];
-      all_conds = [];
+      census_mutexes = nil_mutex;
+      census_mutexes_last = nil_mutex;
+      census_conds = nil_cond;
+      census_conds_last = nil_cond;
       n_faults_injected = 0;
       net_state = Ext_none;
       shard_state = Ext_none;
+      fiber_handler =
+        {
+          retc = (fun () -> ());
+          exnc = (fun e -> raise e);
+          effc =
+            (fun (type a) (eff : a Effect.t) :
+                 ((a, unit) Effect.Deep.continuation -> unit) option ->
+              match eff with Suspend -> save_current | _ -> None);
+        };
     }
   in
   (* Library initialization: a universal handler for all maskable UNIX
@@ -1301,7 +1382,7 @@ let make ?clock ?backend cfg ~main =
       ignore
         (Unix_kernel.arm_timer vm ~after_ns:quantum ~interval_ns:quantum
            ~signo:Sigset.sigalrm ~origin:Unix_kernel.Slice
-          : int));
+          : Unix_kernel.timer));
   Heap.acquire_slab heap;
   thread_table_add eng main_tcb;
   Ready_queue.push_tail eng main_tcb;

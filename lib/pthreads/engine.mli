@@ -84,6 +84,20 @@ val thread_list : engine -> tcb list
 val thread_count : engine -> int
 (** Registered (live or unjoined) threads, O(1). *)
 
+val census_add_mutex : engine -> mutex -> unit
+val census_add_cond : engine -> cond -> unit
+(** Enter a new object in the census the invariant checker walks. *)
+
+val census_remove_mutex : engine -> mutex -> unit
+val census_remove_cond : engine -> cond -> unit
+(** Retire an object from the census in O(1) (a no-op when already
+    retired): for owners that recycle objects on a long-lived engine, like
+    [Net]'s per-connection pipes.  The object stays usable. *)
+
+val iter_mutexes : engine -> (mutex -> unit) -> unit
+val iter_conds : engine -> (cond -> unit) -> unit
+(** The census in creation order. *)
+
 val fresh_tid : engine -> int
 val fresh_obj_id : engine -> int
 (** Identifier mints for TCBs and synchronization objects. *)
@@ -116,9 +130,9 @@ val set_wait_deadline : engine -> tcb -> deadline:int -> unit
     [unblock] (to {!Types.no_deadline}); the heap entry is lazily
     discarded. *)
 
-val sleep_next_deadline : engine -> int option
-(** Earliest pending timed-wait deadline, if any (drops dead heap
-    entries on the way). *)
+val sleep_next_deadline : engine -> int
+(** Earliest pending timed-wait deadline, [no_deadline] when none (drops
+    dead heap entries on the way). *)
 
 val finish_current : engine -> exit_status -> unit
 (** Thread-termination bookkeeping: runs cleanup handlers and TSD
@@ -183,6 +197,10 @@ val busy : engine -> ns:int -> unit
     mid-computation. *)
 
 val trace : engine -> tcb -> Vm.Trace.kind -> unit
+
+val tracing : engine -> bool
+(** Whether {!trace} records anything: test it before building a kind that
+    carries a payload, which allocates even when tracing is off. *)
 
 (** {1:probe The engine probe}
 

@@ -233,6 +233,6 @@ let child_proc c = c.mp_eng
 let kill_process _m sender target signo =
   (* a real kill(2): a trap in the sender, an external signal in the
      target's kernel *)
-  Vm.Unix_kernel.trap sender.vm ~name:"kill" ignore;
+  Vm.Unix_kernel.trap sender.vm Kill;
   Vm.Unix_kernel.post_signal target.vm signo ~origin:Vm.Unix_kernel.External ();
   Engine.checkpoint sender

@@ -17,23 +17,29 @@ let create eng ?name ?(protocol = No_protocol) ?ceiling () =
     | (No_protocol | Inherit_protocol), _ -> 0
   in
   Engine.charge eng Costs.attr_op;
-  let m =
+  let m_waiters = Wait_queue.create () in
+  let rec m =
     {
       m_id = id;
       m_name;
       m_protocol = protocol;
       m_ceiling;
       m_locked = false;
-      m_owner = None;
-      m_waiters = Wait_queue.create ();
+      m_owner = nil_tcb;
+      m_waiters;
       m_locks = 0;
       m_contended = 0;
+      m_held_next = nil_mutex;
+      m_held_prev = nil_mutex;
+      m_blocked = Blocked (On_mutex m);
+      m_census_next = nil_mutex;
+      m_census_prev = nil_mutex;
     }
   in
-  eng.all_mutexes <- m :: eng.all_mutexes;
+  Engine.census_add_mutex eng m;
   m
 
-let holds self m = match m.m_owner with Some o -> o == self | None -> false
+let holds self m = m.m_owner == self
 
 (* Figure 4: ldstub inside a restartable atomic sequence that also records
    the owner — the whole uncontended acquisition stays out of the kernel. *)
@@ -42,17 +48,34 @@ let acquire_fast eng m =
   if m.m_locked then false
   else begin
     m.m_locked <- true;
-    m.m_owner <- Some (Engine.current eng);
+    m.m_owner <- Engine.current eng;
     true
   end
+
+(* The owner's held list is intrusive through the mutexes themselves:
+   push at the head (newest first), unlink from anywhere. *)
+let push_owned self m =
+  let head = self.owned in
+  m.m_held_prev <- nil_mutex;
+  m.m_held_next <- head;
+  if head != nil_mutex then head.m_held_prev <- m;
+  self.owned <- m
+
+let drop_owned self m =
+  let prev = m.m_held_prev and next = m.m_held_next in
+  if prev != nil_mutex then prev.m_held_next <- next
+  else if self.owned == m then self.owned <- next;
+  if next != nil_mutex then next.m_held_prev <- prev;
+  m.m_held_prev <- nil_mutex;
+  m.m_held_next <- nil_mutex
 
 (* Post-acquisition bookkeeping (owner already recorded). *)
 let on_acquired eng m =
   let self = Engine.current eng in
-  self.owned <- m :: self.owned;
+  push_owned self m;
   m.m_locks <- m.m_locks + 1;
   Engine.san_acquire eng (Engine.key_mutex m.m_id) ~name:m.m_name ~excl:true;
-  Engine.trace eng self (Trace.Mutex_lock m.m_name);
+  if Engine.tracing eng then Engine.trace eng self (Trace.Mutex_lock m.m_name);
   (match m.m_protocol with
   | Ceiling_protocol ->
       (* SRP emulation: boost to the ceiling at acquisition, remembering
@@ -69,35 +92,34 @@ let on_acquired eng m =
     Engine.leave_kernel eng
   end
 
+(* inheritance: boost the owner (and transitively whoever blocks it) *)
+let boost_owner eng m self =
+  let o = m.m_owner in
+  if m.m_protocol = Inherit_protocol && o != nil_tcb && o.prio < self.prio then
+    Engine.set_effective_prio eng o self.prio ~at_head:true
+
+(* Top-level, not a local closure: a contended lock captures nothing. *)
+let rec wait_for_handoff eng m self =
+  self.state <- m.m_blocked;
+  Wait_queue.push_tail m.m_waiters self;
+  let (_ : wake) = Engine.block eng in
+  (* Resumed outside the kernel.  The handler wrapper (fake calls) runs
+     only now — a mutex wait is not an interruption point. *)
+  Engine.drain_fake_calls eng;
+  if not (holds self m) then begin
+    Engine.enter_kernel eng;
+    boost_owner eng m self;
+    wait_for_handoff eng m self
+  end
+
 let lock_slow eng m =
   let self = Engine.current eng in
   Engine.enter_kernel eng;
   Engine.charge eng Costs.mutex_slow;
   m.m_contended <- m.m_contended + 1;
-  Engine.trace eng self (Trace.Mutex_block m.m_name);
-  (* inheritance: boost the owner (and transitively whoever blocks it) *)
-  (match (m.m_protocol, m.m_owner) with
-  | Inherit_protocol, Some o when o.prio < self.prio ->
-      Engine.set_effective_prio eng o self.prio ~at_head:true
-  | _ -> ());
-  let rec wait () =
-    self.state <- Blocked (On_mutex m);
-    Wait_queue.push_tail m.m_waiters self;
-    let (_ : wake) = Engine.block eng in
-    (* Resumed outside the kernel.  The handler wrapper (fake calls) runs
-       only now — a mutex wait is not an interruption point. *)
-    Engine.drain_fake_calls eng;
-    if holds self m then ()
-    else begin
-      Engine.enter_kernel eng;
-      (match (m.m_protocol, m.m_owner) with
-      | Inherit_protocol, Some o when o.prio < self.prio ->
-          Engine.set_effective_prio eng o self.prio ~at_head:true
-      | _ -> ());
-      wait ()
-    end
-  in
-  wait ();
+  if Engine.tracing eng then Engine.trace eng self (Trace.Mutex_block m.m_name);
+  boost_owner eng m self;
+  wait_for_handoff eng m self;
   on_acquired eng m
 
 let do_lock eng m =
@@ -149,14 +171,16 @@ let lower_on_unlock eng m =
 
 let release_transfer eng m =
   (* Wake the highest-priority waiter, handing it the mutex directly. *)
-  match Wait_queue.peek_highest m.m_waiters with
-  | None ->
-      m.m_locked <- false;
-      m.m_owner <- None
-  | Some w ->
-      Engine.charge eng Costs.mutex_transfer;
-      m.m_owner <- Some w;
-      Engine.unblock eng w Wake_normal
+  let w = Wait_queue.peek_highest m.m_waiters in
+  if w == nil_tcb then begin
+    m.m_locked <- false;
+    m.m_owner <- nil_tcb
+  end
+  else begin
+    Engine.charge eng Costs.mutex_transfer;
+    m.m_owner <- w;
+    Engine.unblock eng w Wake_normal
+  end
 
 let do_unlock eng m ~dispatching =
   let self = Engine.current eng in
@@ -164,9 +188,9 @@ let do_unlock eng m ~dispatching =
   if not (holds self m) then
     raise (Error (Errno.EPERM, "Mutex.unlock: " ^ m.m_name ^ " not held by caller"));
   Engine.charge eng Costs.mutex_fast_unlock;
-  self.owned <- List.filter (fun x -> x != m) self.owned;
+  drop_owned self m;
   Engine.san_release eng (Engine.key_mutex m.m_id);
-  Engine.trace eng self (Trace.Mutex_unlock m.m_name);
+  if Engine.tracing eng then Engine.trace eng self (Trace.Mutex_unlock m.m_name);
   (* Uncontended releases stay out of the kernel whenever the protocol does
      not require touching priorities: always for plain mutexes, and for
      inheritance mutexes whose owner was never boosted.  A ceiling unlock
@@ -182,12 +206,12 @@ let do_unlock eng m ~dispatching =
   in
   if uncontended_fast then begin
     m.m_locked <- false;
-    m.m_owner <- None
+    m.m_owner <- nil_tcb
   end
   else if Wait_queue.is_empty m.m_waiters && m.m_protocol = Ceiling_protocol
   then begin
     m.m_locked <- false;
-    m.m_owner <- None;
+    m.m_owner <- nil_tcb;
     lower_on_unlock eng m;
     if dispatching && eng.dispatcher_flag then begin
       Engine.enter_kernel eng;
@@ -212,7 +236,7 @@ let unlock eng m =
 
 let release_in_kernel eng m = do_unlock eng m ~dispatching:false
 
-let owner_tid m = Option.map (fun t -> t.tid) m.m_owner
+let owner_tid m = if m.m_owner == nil_tcb then None else Some m.m_owner.tid
 let is_locked m = m.m_locked
 let waiter_count m = Wait_queue.size m.m_waiters
 let lock_count m = m.m_locks

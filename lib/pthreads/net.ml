@@ -14,9 +14,10 @@ type vpipe = {
   mutable p_eof : bool;  (* writer closed *)
   p_lock : mutex;
   p_cond : cond;  (* signaled on data arrival and on close *)
+  mutable p_open_ends : int;  (* connection ends not yet closed: 2, 1, 0 *)
 }
 
-type vconn = { rx : vpipe; tx : vpipe }
+type vconn = { rx : vpipe; tx : vpipe; mutable v_closed : bool }
 
 type vlistener = {
   vl_port : int;
@@ -51,15 +52,17 @@ let vpipe_make eng =
     p_eof = false;
     p_lock = Mutex.create eng ~name:"net.pipe" ();
     p_cond = Cond.create eng ~name:"net.pipe" ();
+    p_open_ends = 2;
   }
+
+let avail p = Buffer.length p.p_buf - p.p_off
 
 let vpipe_read eng p buf ~pos ~len =
   Mutex.lock eng p.p_lock;
-  let avail () = Buffer.length p.p_buf - p.p_off in
-  while avail () = 0 && not p.p_eof do
+  while avail p = 0 && not p.p_eof do
     ignore (Cond.wait eng p.p_cond p.p_lock : Cond.wait_result)
   done;
-  let n = min len (avail ()) in
+  let n = min len (avail p) in
   if n > 0 then begin
     Buffer.blit p.p_buf p.p_off buf pos n;
     p.p_off <- p.p_off + n;
@@ -91,6 +94,16 @@ let vpipe_close eng p =
     Cond.broadcast eng p.p_cond
   end;
   Mutex.unlock eng p.p_lock
+
+(* Once both ends of a connection have closed, nobody can block on its
+   pipes again: they leave the engine's census, so a long-lived server's
+   census holds its open connections, not every connection it ever had. *)
+let vpipe_retire eng p =
+  p.p_open_ends <- p.p_open_ends - 1;
+  if p.p_open_ends = 0 then begin
+    Engine.census_remove_mutex eng p.p_lock;
+    Engine.census_remove_cond eng p.p_cond
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Unix transport: readiness watch + SIGIO doorbell                    *)
@@ -194,8 +207,8 @@ let connect eng ~port =
           raise (Error (Errno.EINVAL, "Net.connect: connection refused"))
       | Some l ->
           let c2s = vpipe_make eng and s2c = vpipe_make eng in
-          let server_end = { rx = c2s; tx = s2c }
-          and client_end = { rx = s2c; tx = c2s } in
+          let server_end = { rx = c2s; tx = s2c; v_closed = false }
+          and client_end = { rx = s2c; tx = c2s; v_closed = false } in
           Mutex.lock eng l.vl_lock;
           Queue.push server_end l.vl_queue;
           Cond.signal eng l.vl_cond;
@@ -232,7 +245,12 @@ let close eng c =
   | C_unix h -> (net_ops eng).Backend.net_close h
   | C_vm c ->
       vpipe_close eng c.tx;
-      vpipe_close eng c.rx
+      vpipe_close eng c.rx;
+      if not c.v_closed then begin
+        c.v_closed <- true;
+        vpipe_retire eng c.tx;
+        vpipe_retire eng c.rx
+      end
 
 let close_listener eng l =
   Engine.checkpoint eng;

@@ -100,6 +100,18 @@ let activate eng tid =
   Engine.leave_kernel eng;
   Engine.drain_fake_calls eng
 
+(* Entered and left in the kernel.  Top-level, not a local closure. *)
+let rec wait_for_exit eng self t =
+  if t.state <> Terminated then begin
+    self.state <- Blocked (On_join t);
+    Wait_queue.push_head t.joiners self;
+    let (_ : wake) = Engine.block eng in
+    Engine.drain_fake_calls eng;
+    Engine.test_cancel eng;
+    Engine.enter_kernel eng;
+    wait_for_exit eng self t
+  end
+
 let join eng tid =
   Engine.checkpoint eng;
   Engine.test_cancel eng;
@@ -113,19 +125,7 @@ let join eng tid =
       Engine.enter_kernel eng;
       (* a lazily created thread is "needed" now: activate it *)
       if t.state = Blocked On_start then Engine.unblock eng t Wake_normal;
-      let rec wait () =
-        if t.state = Terminated then ()
-        else begin
-          self.state <- Blocked (On_join t);
-          Wait_queue.push_head t.joiners self;
-          let (_ : wake) = Engine.block eng in
-          Engine.drain_fake_calls eng;
-          Engine.test_cancel eng;
-          Engine.enter_kernel eng;
-          wait ()
-        end
-      in
-      wait ();
+      wait_for_exit eng self t;
       (* in the kernel; reap *)
       if not (Engine.is_registered eng t) then begin
         Engine.leave_kernel eng;
@@ -245,7 +245,7 @@ let set_priority eng tid prio =
       t.base_prio <- prio;
       let effective =
         (* a protocol boost cannot be lowered from outside *)
-        if t.owned = [] && t.boost_stack = [] then prio else max t.prio prio
+        if t.owned == nil_mutex && t.boost_stack = [] then prio else max t.prio prio
       in
       Engine.set_effective_prio eng t effective ~at_head:false);
   Engine.leave_kernel eng;
@@ -261,35 +261,35 @@ let get_base_priority eng tid =
   | Some t -> t.base_prio
   | None -> raise (Error (Errno.ESRCH, "Pthread.get_base_priority: no such thread"))
 
+(* Top-level, not a local closure: a delay captures nothing. *)
+let rec sleep_until eng self deadline =
+  if Engine.now eng < deadline then begin
+    Engine.enter_kernel eng;
+    self.state <- Blocked On_sleep;
+    Engine.set_wait_deadline eng self ~deadline;
+    let (_ : wake) = Engine.block eng in
+    Engine.drain_fake_calls eng;
+    Engine.test_cancel eng;
+    sleep_until eng self deadline
+  end
+
 let delay eng ~ns =
   Engine.checkpoint eng;
   Engine.test_cancel eng;
   if ns > 0 then begin
     let self = Engine.current eng in
     let deadline = Engine.now eng + ns in
-    let timer_id =
+    let timer =
       Unix_kernel.arm_timer eng.vm ~after_ns:ns ~interval_ns:0
         ~signo:Sigset.sigalrm
         ~origin:(Unix_kernel.Timer self.tid)
     in
-    let rec wait () =
-      if Engine.now eng >= deadline then ()
-      else begin
-        Engine.enter_kernel eng;
-        self.state <- Blocked On_sleep;
-        Engine.set_wait_deadline eng self ~deadline;
-        let (_ : wake) = Engine.block eng in
-        Engine.drain_fake_calls eng;
-        Engine.test_cancel eng;
-        wait ()
-      end
-    in
     (* On a normal return the deadline has passed and the one-shot alarm
        has fired; unwinding early (cancellation, a handler's longjmp)
        would leak it against whatever this thread blocks on next. *)
-    try wait ()
+    try sleep_until eng self deadline
     with e ->
-      Unix_kernel.disarm_timer eng.vm timer_id;
+      Unix_kernel.disarm_timer eng.vm timer;
       raise e
   end
 

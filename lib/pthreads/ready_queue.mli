@@ -22,8 +22,8 @@ val push_tail_lowest : engine -> tcb -> unit
 val remove : engine -> tcb -> unit
 (** Remove the thread wherever it is queued (priority changes). *)
 
-val highest_prio : engine -> int option
-(** Priority level of the best ready thread, if any. *)
+val highest_prio : engine -> int
+(** Priority level of the best ready thread; -1 when nothing is ready. *)
 
 val pop_highest : engine -> tcb option
 

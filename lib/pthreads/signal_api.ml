@@ -122,7 +122,7 @@ let set_timer eng ~after_ns ?(interval_ns = 0) () =
   Unix_kernel.arm_timer eng.vm ~after_ns ~interval_ns ~signo:Sigset.sigalrm
     ~origin:(Unix_kernel.Timer self.tid)
 
-let cancel_timer eng id = Unix_kernel.disarm_timer eng.vm id
+let cancel_timer eng tm = Unix_kernel.disarm_timer eng.vm tm
 
 let aio_submit eng ~latency_ns =
   let self = Engine.current eng in

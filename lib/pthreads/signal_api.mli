@@ -57,11 +57,12 @@ val thread_pending : engine -> Sigset.t
 val process_pending : engine -> Sigset.t
 (** Signals pended on the process awaiting an eligible thread (rule 6). *)
 
-val set_timer : engine -> after_ns:int -> ?interval_ns:int -> unit -> int
+val set_timer :
+  engine -> after_ns:int -> ?interval_ns:int -> unit -> Unix_kernel.timer
 (** Arm a timer delivering SIGALRM attributed to the calling thread
-    (recipient rule 3); returns a timer id for {!cancel_timer}. *)
+    (recipient rule 3); returns the timer for {!cancel_timer}. *)
 
-val cancel_timer : engine -> int -> unit
+val cancel_timer : engine -> Unix_kernel.timer -> unit
 
 val aio_submit : engine -> latency_ns:int -> unit
 (** Submit a simulated asynchronous I/O request; its completion delivers

@@ -25,7 +25,7 @@ let make ~tid ~name ~prio ~detached ~body ~deferred =
     joiners = Wait_queue.create ();
     cont = Not_started body;
     pending_wake = Wake_normal;
-    owned = [];
+    owned = nil_mutex;
     sched_override = None;
     suspended = false;
     wait_deadline = no_deadline;

@@ -117,7 +117,10 @@ and tcb = {
   joiners : pq;  (** threads blocked joining this one *)
   mutable cont : cont_state;
   mutable pending_wake : wake;
-  mutable owned : mutex list;  (** mutexes currently held (for inheritance) *)
+  mutable owned : mutex;
+      (** mutexes currently held (for inheritance), newest first: the head
+          of an intrusive list through [m_held_next]; [nil_mutex] when none.
+          Intrusive so that a lock or unlock conses nothing. *)
   mutable sched_override : per_thread_sched option;
       (** POSIX per-thread policy: overrides the process policy's
           time-slicing behaviour for this thread *)
@@ -158,9 +161,11 @@ and tcb = {
 and pq = {
   mutable pq_levels : pq_level array;
       (** length [n_prios], index = priority; lazily allocated — [[||]]
-          until the first push.  Every TCB owns a [joiners] queue and most
-          are never joined while queued on, so the eager 32-level array was
-          a large slice of the per-thread footprint. *)
+          until the first push, and then each level is the shared
+          [nil_level] until something is pushed at that priority.  Every
+          TCB owns a [joiners] queue and every cond a waiter queue; most
+          only ever see one or two priorities, so 32 eager levels were most
+          of their footprint. *)
   mutable pq_bits : int;  (** bit [p] set iff level [p] is non-empty *)
   mutable pq_size : int;  (** maintained element count *)
 }
@@ -182,17 +187,26 @@ and mutex = {
   m_protocol : mutex_protocol;
   mutable m_ceiling : int;
   mutable m_locked : bool;
-  mutable m_owner : tcb option;
+  mutable m_owner : tcb;  (** [nil_tcb] while unlocked *)
   m_waiters : pq;  (** priority order, FIFO within a level *)
   mutable m_locks : int;  (** statistics *)
   mutable m_contended : int;
+  mutable m_held_next : mutex;  (** the owner's [owned] list links *)
+  mutable m_held_prev : mutex;
+  m_blocked : thread_state;  (** [Blocked (On_mutex self)], built once *)
+  mutable m_census_next : mutex;
+      (** the engine's census (creation order); [nil_mutex]-terminated *)
+  mutable m_census_prev : mutex;
 }
 
 and cond = {
   c_id : int;
   c_name : string;
   c_waiters : pq;  (** priority order, FIFO within a level *)
-  mutable c_mutex : mutex option;  (** bound while waiters exist *)
+  mutable c_mutex : mutex;  (** bound while waiters exist; else [nil_mutex] *)
+  c_blocked : thread_state;  (** [Blocked (On_cond self)], built once *)
+  mutable c_census_next : cond;  (** the engine's census, creation order *)
+  mutable c_census_prev : cond;
 }
 
 and fake_frame =
@@ -208,9 +222,11 @@ and pending_sig = { p_signo : signo; p_code : int; p_origin : Unix_kernel.origin
 
 and univ = exn  (** universal type for thread-specific data values *)
 
-(** Sentinels terminating the intrusive queue links.  [nil_pq] doubles as
-    "not queued" for [tcb.q_in]; both are compared with physical equality
-    only and never enqueued or dequeued themselves. *)
+(** Sentinels terminating the intrusive links.  [nil_pq] doubles as "not
+    queued" for [tcb.q_in], [nil_tcb] as "no owner" for [m_owner],
+    [nil_mutex] as "none held" and "unbound"; [nil_level] is every
+    never-used priority level of a wait queue.  All are compared with
+    physical equality only and never mutated. *)
 let nil_pq = { pq_levels = [||]; pq_bits = 0; pq_size = 0 }
 
 let rec nil_tcb =
@@ -237,7 +253,7 @@ let rec nil_tcb =
     joiners = nil_pq;
     cont = No_cont;
     pending_wake = Wake_normal;
-    owned = [];
+    owned = nil_mutex;
     sched_override = None;
     suspended = false;
     wait_deadline = max_int;
@@ -249,6 +265,45 @@ let rec nil_tcb =
     at_next = None;
     at_prev = None;
   }
+
+and nil_mutex =
+  {
+    m_id = 0;
+    m_name = "<nil>";
+    m_protocol = No_protocol;
+    m_ceiling = 0;
+    m_locked = false;
+    m_owner = nil_tcb;
+    m_waiters = nil_pq;
+    m_locks = 0;
+    m_contended = 0;
+    m_held_next = nil_mutex;
+    m_held_prev = nil_mutex;
+    m_blocked = Blocked (On_mutex nil_mutex);
+    m_census_next = nil_mutex;
+    m_census_prev = nil_mutex;
+  }
+
+let rec nil_cond =
+  {
+    c_id = 0;
+    c_name = "<nil>";
+    c_waiters = nil_pq;
+    c_mutex = nil_mutex;
+    c_blocked = Blocked (On_cond nil_cond);
+    c_census_next = nil_cond;
+    c_census_prev = nil_cond;
+  }
+
+let nil_level = { lv_head = nil_tcb; lv_tail = nil_tcb; lv_len = 0 }
+
+(** The owner of [m], boxed for the cold readers (debugger, checkers). *)
+let owner m = if m.m_owner == nil_tcb then None else Some m.m_owner
+
+(** The mutexes [t] holds, newest first. *)
+let owned_list t =
+  let rec go m acc = if m == nil_mutex then List.rev acc else go m.m_held_next (m :: acc) in
+  go t.owned []
 
 (** Process-wide signal action table (the thread-level [sigaction]). *)
 type action =
@@ -395,11 +450,15 @@ type engine = {
           checkpoint and asks the hook to choose among the enabled (ready)
           threads, given in creation order.  The hook may abort the run by
           raising. *)
-  mutable all_mutexes : mutex list;
-      (** every mutex created on this engine, newest first — the invariant
-          checker's census (engines are per-run in exploration, so the list
-          stays small and is never pruned) *)
-  mutable all_conds : cond list;  (** ditto for condition variables *)
+  mutable census_mutexes : mutex;
+      (** oldest mutex of the invariant checker's census of live objects
+          (intrusive through [m_census_next], creation order; [nil_mutex]
+          when empty).  Engines can outlive many connections, so objects
+          leave the census in O(1) when their owner retires them (see
+          [Engine.census_remove_mutex]). *)
+  mutable census_mutexes_last : mutex;
+  mutable census_conds : cond;  (** ditto for condition variables *)
+  mutable census_conds_last : cond;
   mutable n_faults_injected : int;
       (** count of faults actually applied by the injection primitives *)
   mutable net_state : ext;
@@ -408,6 +467,9 @@ type engine = {
   mutable shard_state : ext;
       (** [Shard]'s per-engine state in parallel mode (the shard this
           engine pumps and its pool); [Ext_none] in single-domain mode. *)
+  fiber_handler : (unit, unit) Effect.Deep.handler;
+      (** the [Suspend] handler every thread's fiber runs under, built once
+          per engine (it stores the continuation on [current]) *)
 }
 
 (** The single scheduling effect: performed by a thread to return control to

@@ -28,7 +28,7 @@ let check_dispatch mon t =
   if eng.kernel_flag then
     report mon "monitor" "kernel flag held across a context switch";
   (match (eng.cfg.perverted, Ready_queue.highest_prio eng) with
-  | No_perversion, Some p when p > t.prio && not (Engine.exploring eng) ->
+  | No_perversion, p when p > t.prio && not (Engine.exploring eng) ->
       (* the explorer deliberately dispatches out of priority order *)
       report mon "priority"
         (Printf.sprintf "%s (prio %d) dispatched while a ready thread has %d"
@@ -38,7 +38,7 @@ let check_dispatch mon t =
   Engine.iter_threads eng (fun th ->
       List.iter
         (fun m ->
-          (match m.m_owner with
+          (match owner m with
           | Some o when o == th -> ()
           | _ ->
               report mon "ownership"
@@ -53,7 +53,7 @@ let check_dispatch mon t =
                   report mon "waiters"
                     (Printf.sprintf "%s queued on %s but in state %s" w.tname
                        m.m_name (state_name w.state))))
-        th.owned)
+        (owned_list th))
 
 let install eng =
   let mon = { eng; found = []; checks = 0 } in

@@ -23,17 +23,21 @@ let highest_bit x =
   if !x land 0x2 <> 0 then incr n;
   !n
 
-(* Level arrays are allocated on first push: a pq is three words until
-   someone actually queues on it, which is what keeps per-TCB [joiners]
-   queues off the million-thread memory budget. *)
+(* Levels are allocated on first push, one at a time: a pq is three words
+   until someone actually queues on it (which keeps per-TCB [joiners]
+   queues off the million-thread memory budget), and then only the
+   priorities actually used get a level; the rest share [nil_level]. *)
 let create () = { pq_levels = [||]; pq_bits = 0; pq_size = 0 }
 
-let levels q =
-  if Array.length q.pq_levels = 0 then
-    q.pq_levels <-
-      Array.init n_prios (fun _ ->
-          { lv_head = nil_tcb; lv_tail = nil_tcb; lv_len = 0 });
-  q.pq_levels
+let level_at q p =
+  if Array.length q.pq_levels = 0 then q.pq_levels <- Array.make n_prios nil_level;
+  let l = q.pq_levels.(p) in
+  if l != nil_level then l
+  else begin
+    let l = { lv_head = nil_tcb; lv_tail = nil_tcb; lv_len = 0 } in
+    q.pq_levels.(p) <- l;
+    l
+  end
 
 let size q = q.pq_size
 let is_empty q = q.pq_size = 0
@@ -48,7 +52,7 @@ let check_free t =
 
 let push_tail_at q t level =
   check_free t;
-  let l = (levels q).(level) in
+  let l = level_at q level in
   t.q_in <- q;
   t.q_level <- level;
   t.q_next <- nil_tcb;
@@ -61,7 +65,7 @@ let push_tail_at q t level =
 
 let push_head_at q t level =
   check_free t;
-  let l = (levels q).(level) in
+  let l = level_at q level in
   t.q_in <- q;
   t.q_level <- level;
   t.q_prev <- nil_tcb;
@@ -90,12 +94,10 @@ let remove q t =
     t.q_next <- nil_tcb
   end
 
-let highest_prio q =
-  if q.pq_bits = 0 then None else Some (highest_bit q.pq_bits)
+let highest_prio q = if q.pq_bits = 0 then -1 else highest_bit q.pq_bits
 
 let peek_highest q =
-  if q.pq_bits = 0 then None
-  else Some q.pq_levels.(highest_bit q.pq_bits).lv_head
+  if q.pq_bits = 0 then nil_tcb else q.pq_levels.(highest_bit q.pq_bits).lv_head
 
 let pop_highest q =
   if q.pq_bits = 0 then None

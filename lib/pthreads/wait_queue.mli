@@ -36,10 +36,13 @@ val remove : pq -> tcb -> unit
 val pop_highest : pq -> tcb option
 (** Dequeue the head of the highest non-empty bucket. *)
 
-val peek_highest : pq -> tcb option
+val peek_highest : pq -> tcb
+(** The head of the highest non-empty bucket, left queued; [nil_tcb] when
+    the queue is empty (a sentinel, not an option: the dispatcher and the
+    wake paths ask on every switch). *)
 
-val highest_prio : pq -> int option
-(** Bucket index of the best queued thread, if any. *)
+val highest_prio : pq -> int
+(** Bucket index of the best queued thread; -1 when the queue is empty. *)
 
 val reposition : pq -> tcb -> old_prio:int -> unit
 (** Relink a member whose [prio] just changed from [old_prio]: a rising

@@ -23,7 +23,12 @@
    that deadline, and either fires the bucket (level 0) or re-inserts its
    timers one level down.  Cascading strictly decreases a timer's level,
    so each timer is re-bucketed at most [levels] times in its life: O(1)
-   amortized. *)
+   amortized.
+
+   Allocation: arming allocates the timer record, which is also the
+   caller's handle (no id table).  Links are nil-sentinel, not [option],
+   so re-bucketing, firing and disarming allocate nothing; only a bucket
+   holding several timers builds a list to sort them. *)
 
 let slot_bits = 5
 let slots_per_level = 1 lsl slot_bits
@@ -31,20 +36,22 @@ let slot_mask = slots_per_level - 1
 let levels = 13
 
 type 'a timer = {
-  id : int;
+  id : int;  (** arm sequence number: the (expiry, id) tie order *)
+  tag : int;
   payload : 'a;
   mutable expiry : int;
   mutable interval : int;
-  mutable t_next : 'a timer option;
-  mutable t_prev : 'a timer option;
-  mutable t_level : int;
+  mutable t_next : 'a timer;
+  mutable t_prev : 'a timer;
+  mutable t_level : int;  (** -1 while not armed *)
   mutable t_slot : int;
 }
 
 type 'a t = {
+  nil : 'a timer;  (** link sentinel; never armed *)
   mutable current : int;
   mutable next_id : int;
-  slots : 'a timer option array array;
+  slots : 'a timer array array;
   (* Slot-start deadline of each occupied slot; only meaningful where the
      level's bitmap bit is set. *)
   deadlines : int array array;
@@ -53,21 +60,37 @@ type 'a t = {
      level is empty.  Kept exact: rescanned (32 reads) whenever the slot
      holding the minimum is consumed or emptied. *)
   level_min : int array;
-  by_id : (int, 'a timer) Hashtbl.t;
+  (* Minimum of [level_min]: [advance] returns at once while [now] is
+     before it, which is what every checkpoint between expiries sees. *)
+  mutable earliest : int;
   mutable n_armed : int;
   mutable peak : int;
   mutable n_cascades : int;
 }
 
-let create () =
+let create nil_payload =
+  let rec nil =
+    {
+      id = 0;
+      tag = 0;
+      payload = nil_payload;
+      expiry = max_int;
+      interval = 0;
+      t_next = nil;
+      t_prev = nil;
+      t_level = -1;
+      t_slot = 0;
+    }
+  in
   {
+    nil;
     current = 0;
     next_id = 1;
-    slots = Array.init levels (fun _ -> Array.make slots_per_level None);
+    slots = Array.init levels (fun _ -> Array.make slots_per_level nil);
     deadlines = Array.init levels (fun _ -> Array.make slots_per_level 0);
     bitmaps = Array.make levels 0;
     level_min = Array.make levels max_int;
-    by_id = Hashtbl.create 64;
+    earliest = max_int;
     n_armed = 0;
     peak = 0;
     n_cascades = 0;
@@ -77,15 +100,17 @@ let now w = w.current
 let armed w = w.n_armed
 let peak_armed w = w.peak
 let cascades w = w.n_cascades
+let id r = r.id
+let tag r = r.tag
+let payload r = r.payload
 
 (* Smallest level whose window covers [delta]; the top level covers
    everything (its guard also keeps the shift below 63). *)
-let level_for delta =
-  let rec go l =
-    if l = levels - 1 || delta < 1 lsl (slot_bits * (l + 1)) then l
-    else go (l + 1)
-  in
-  go 0
+let rec level_from l delta =
+  if l = levels - 1 || delta < 1 lsl (slot_bits * (l + 1)) then l
+  else level_from (l + 1) delta
+
+let level_for delta = level_from 0 delta
 
 let rescan_min w l =
   let bits = w.bitmaps.(l) and dl = w.deadlines.(l) in
@@ -93,7 +118,12 @@ let rescan_min w l =
   for s = 0 to slots_per_level - 1 do
     if bits land (1 lsl s) <> 0 && dl.(s) < !m then m := dl.(s)
   done;
-  w.level_min.(l) <- !m
+  w.level_min.(l) <- !m;
+  let e = ref max_int in
+  for l = 0 to levels - 1 do
+    if w.level_min.(l) < !e then e := w.level_min.(l)
+  done;
+  w.earliest <- !e
 
 let insert w r =
   let delta =
@@ -104,32 +134,35 @@ let insert w r =
   let shift = slot_bits * l in
   let s = (r.expiry lsr shift) land slot_mask in
   let sd = if l = 0 then r.expiry else (r.expiry lsr shift) lsl shift in
+  let slots = w.slots.(l) in
+  let head = slots.(s) in
   r.t_level <- l;
   r.t_slot <- s;
-  r.t_prev <- None;
-  r.t_next <- w.slots.(l).(s);
-  (match w.slots.(l).(s) with Some h -> h.t_prev <- Some r | None -> ());
-  w.slots.(l).(s) <- Some r;
+  r.t_prev <- w.nil;
+  r.t_next <- head;
+  if head != w.nil then head.t_prev <- r;
+  slots.(s) <- r;
   w.bitmaps.(l) <- w.bitmaps.(l) lor (1 lsl s);
   w.deadlines.(l).(s) <- sd;
-  if sd < w.level_min.(l) then w.level_min.(l) <- sd
+  if sd < w.level_min.(l) then begin
+    w.level_min.(l) <- sd;
+    if sd < w.earliest then w.earliest <- sd
+  end
 
 let unlink w r =
-  (match r.t_prev with
-  | Some p -> p.t_next <- r.t_next
-  | None -> w.slots.(r.t_level).(r.t_slot) <- r.t_next);
-  (match r.t_next with Some n -> n.t_prev <- r.t_prev | None -> ());
-  (match w.slots.(r.t_level).(r.t_slot) with
-  | Some _ -> ()
-  | None ->
-      w.bitmaps.(r.t_level) <- w.bitmaps.(r.t_level) land lnot (1 lsl r.t_slot);
-      if w.deadlines.(r.t_level).(r.t_slot) = w.level_min.(r.t_level) then
-        rescan_min w r.t_level);
+  let l = r.t_level and s = r.t_slot in
+  if r.t_prev != w.nil then r.t_prev.t_next <- r.t_next
+  else w.slots.(l).(s) <- r.t_next;
+  if r.t_next != w.nil then r.t_next.t_prev <- r.t_prev;
+  if w.slots.(l).(s) == w.nil then begin
+    w.bitmaps.(l) <- w.bitmaps.(l) land lnot (1 lsl s);
+    if w.deadlines.(l).(s) = w.level_min.(l) then rescan_min w l
+  end;
   r.t_level <- -1;
-  r.t_next <- None;
-  r.t_prev <- None
+  r.t_next <- w.nil;
+  r.t_prev <- w.nil
 
-let arm w ~now ~after_ns ~interval_ns payload =
+let arm w ~now ~after_ns ~interval_ns ~tag payload =
   let id = w.next_id in
   w.next_id <- id + 1;
   let floor = if now > w.current then now else w.current in
@@ -140,34 +173,33 @@ let arm w ~now ~after_ns ~interval_ns payload =
   let r =
     {
       id;
+      tag;
       payload;
       expiry;
       interval = interval_ns;
-      t_next = None;
-      t_prev = None;
+      t_next = w.nil;
+      t_prev = w.nil;
       t_level = -1;
       t_slot = 0;
     }
   in
-  Hashtbl.replace w.by_id id r;
   insert w r;
   w.n_armed <- w.n_armed + 1;
   if w.n_armed > w.peak then w.peak <- w.n_armed;
-  id
+  r
 
-let disarm w id =
-  match Hashtbl.find_opt w.by_id id with
-  | None -> false
-  | Some r ->
-      Hashtbl.remove w.by_id id;
-      unlink w r;
-      w.n_armed <- w.n_armed - 1;
-      true
+let disarm w r =
+  if r.t_level < 0 then false
+  else begin
+    unlink w r;
+    w.n_armed <- w.n_armed - 1;
+    true
+  end
 
-(* Earliest occupied-slot deadline and its level.  Scanning levels upward
-   with [<=] makes the highest level win ties — the cascade-before-fire
-   order that keeps same-deadline batches id-sorted. *)
-let find_min w =
+(* Level of the earliest occupied-slot deadline, -1 when empty.  Scanning
+   levels upward with [<=] makes the highest level win ties — the
+   cascade-before-fire order that keeps same-deadline batches id-sorted. *)
+let min_level w =
   let best_d = ref max_int and best_l = ref (-1) in
   for l = 0 to levels - 1 do
     let m = w.level_min.(l) in
@@ -176,10 +208,9 @@ let find_min w =
       best_l := l
     end
   done;
-  if !best_l < 0 then None else Some (!best_d, !best_l)
+  !best_l
 
-let next_expiry w =
-  match find_min w with None -> None | Some (d, _) -> Some d
+let next_expiry w = w.earliest
 
 let min_slot w l =
   let bits = w.bitmaps.(l) and dl = w.deadlines.(l) in
@@ -192,66 +223,65 @@ let min_slot w l =
 
 let detach_bucket w l s =
   let head = w.slots.(l).(s) in
-  w.slots.(l).(s) <- None;
+  w.slots.(l).(s) <- w.nil;
   w.bitmaps.(l) <- w.bitmaps.(l) land lnot (1 lsl s);
   if w.deadlines.(l).(s) = w.level_min.(l) then rescan_min w l;
   head
 
-let rec cascade w = function
-  | None -> ()
-  | Some r ->
-      let next = r.t_next in
-      r.t_next <- None;
-      r.t_prev <- None;
-      w.n_cascades <- w.n_cascades + 1;
-      insert w r;
-      cascade w next
+let rec cascade w r =
+  if r != w.nil then begin
+    let next = r.t_next in
+    w.n_cascades <- w.n_cascades + 1;
+    insert w r;
+    cascade w next
+  end
 
+let fire_one w ~now ~fire r =
+  r.t_next <- w.nil;
+  r.t_prev <- w.nil;
+  r.t_level <- -1;
+  if r.interval > 0 then begin
+    (* BSD catch-up: a slow consumer sees one firing per check, missed
+       periods collapse; same formula the list-based kernel used. *)
+    (if now >= r.expiry + r.interval then
+       let missed = (now - r.expiry) / r.interval in
+       r.expiry <- r.expiry + ((missed + 1) * r.interval)
+     else r.expiry <- r.expiry + r.interval);
+    insert w r
+  end
+  else w.n_armed <- w.n_armed - 1;
+  fire r
+
+(* A level-0 bucket holds one expiry, so a lone timer needs no sort; a
+   bucket of several is fired in id order.  Links are read before each
+   timer fires: firing an interval timer re-inserts it. *)
 let fire_bucket w ~now ~fire head =
-  let rec collect acc = function
-    | None -> acc
-    | Some r ->
-        let next = r.t_next in
-        r.t_next <- None;
-        r.t_prev <- None;
-        r.t_level <- -1;
-        collect (r :: acc) next
-  in
-  let batch =
-    List.sort
-      (fun a b ->
-        if a.expiry <> b.expiry then compare a.expiry b.expiry
-        else compare a.id b.id)
-      (collect [] head)
-  in
-  List.iter
-    (fun r ->
-      if r.interval > 0 then begin
-        (* BSD catch-up: a slow consumer sees one firing per check, missed
-           periods collapse; same formula the list-based kernel used. *)
-        (if now >= r.expiry + r.interval then
-           let missed = (now - r.expiry) / r.interval in
-           r.expiry <- r.expiry + ((missed + 1) * r.interval)
-         else r.expiry <- r.expiry + r.interval);
-        insert w r
-      end
-      else begin
-        Hashtbl.remove w.by_id r.id;
-        w.n_armed <- w.n_armed - 1
-      end;
-      fire ~id:r.id r.payload)
-    batch
+  if head.t_next == w.nil then fire_one w ~now ~fire head
+  else begin
+    let rec collect acc r =
+      if r == w.nil then acc else collect (r :: acc) r.t_next
+    in
+    let batch =
+      List.sort
+        (fun a b ->
+          if a.expiry <> b.expiry then compare a.expiry b.expiry
+          else compare a.id b.id)
+        (collect [] head)
+    in
+    List.iter (fire_one w ~now ~fire) batch
+  end
 
 let advance w ~now ~fire =
-  let rec loop () =
-    match find_min w with
-    | Some (d, l) when d <= now ->
-        let s = min_slot w l in
-        let head = detach_bucket w l s in
-        if d > w.current then w.current <- d;
-        if l = 0 then fire_bucket w ~now ~fire head else cascade w head;
-        loop ()
-    | _ -> ()
-  in
-  loop ();
+  if now >= w.earliest then begin
+    let l = ref (min_level w) in
+    while !l >= 0 && w.level_min.(!l) <= now do
+      let l' = !l in
+      let d = w.level_min.(l') in
+      let s = min_slot w l' in
+      let head = detach_bucket w l' s in
+      if d > w.current then w.current <- d;
+      if l' = 0 then fire_bucket w ~now ~fire head else cascade w head;
+      l := min_level w
+    done
+  end;
   if now > w.current then w.current <- now

@@ -12,9 +12,48 @@ type disposition = Default | Ignore | Catch of { mask : Sigset.t; fn : handler }
 
 exception Process_killed of Sigset.signo
 
-type pending_info = { code : int; origin : origin }
-
 type io_req = { complete_at : int; requester : int }
+
+type syscall =
+  | Getpid
+  | Sbrk
+  | Sigaction
+  | Sigsetmask
+  | Kill
+  | Sigpause
+  | Setitimer
+  | Read
+  | Aioread
+  | Write
+
+let syscall_index = function
+  | Getpid -> 0
+  | Sbrk -> 1
+  | Sigaction -> 2
+  | Sigsetmask -> 3
+  | Kill -> 4
+  | Sigpause -> 5
+  | Setitimer -> 6
+  | Read -> 7
+  | Aioread -> 8
+  | Write -> 9
+
+let syscall_name = function
+  | Getpid -> "getpid"
+  | Sbrk -> "sbrk"
+  | Sigaction -> "sigaction"
+  | Sigsetmask -> "sigsetmask"
+  | Kill -> "kill"
+  | Sigpause -> "sigpause"
+  | Setitimer -> "setitimer"
+  | Read -> "read"
+  | Aioread -> "aioread"
+  | Write -> "write"
+
+let all_syscalls =
+  [ Getpid; Sbrk; Sigaction; Sigsetmask; Kill; Sigpause; Setitimer; Read; Aioread; Write ]
+
+type timer = origin Timer_wheel.timer
 
 type t = {
   prof : Cost_model.profile;
@@ -22,19 +61,23 @@ type t = {
   pid : int;
   dispositions : disposition array;  (* indexed by signo *)
   mutable mask : Sigset.t;
-  pending_set : pending_info option array;  (* BSD: one slot per signo *)
-  mutable n_pending : int;  (* occupied [pending_set] slots *)
+  (* BSD pending signals: one slot per signo, as a bitmask plus the slot
+     contents in two arrays, so posting boxes nothing. *)
+  mutable pending_bits : Sigset.t;
+  pending_code : int array;
+  pending_origin : origin array;
   (* All interval timers live in a hierarchical timing wheel: O(1)
      amortized arm/disarm/advance, so a million timed waits do not turn
-     every checkpoint into a linear scan.  The payload is what expiry
-     posts: (signo, origin). *)
-  timers : (Sigset.signo * origin) Timer_wheel.t;
+     every checkpoint into a linear scan.  Expiry posts the timer's tag
+     (the signal number) with its payload (the origin). *)
+  timers : origin Timer_wheel.t;
+  fire_timer : timer -> unit;  (* built once: [check_events] runs per checkpoint *)
   mutable io_queue : io_req list;
   (* Earliest [complete_at] in [io_queue] ([max_int] when empty), so
      [check_events] can skip the completion scan when nothing is due. *)
   mutable io_next : int;
   io_completions : (int, int) Hashtbl.t;  (* requester -> unconsumed count *)
-  traps_by_name : (string, int) Hashtbl.t;
+  traps_by_sys : int array;  (* indexed by [syscall_index] *)
   mutable traps_total : int;
   mutable n_sigsetmask : int;
   mutable n_posted : int;
@@ -49,30 +92,53 @@ type t = {
 exception Trap_fault of string * int
 (* [Trap_fault (trap_name, errno)]: an injected syscall failure. *)
 
+let post t signo code origin =
+  t.n_posted <- t.n_posted + 1;
+  if Sigset.mem t.pending_bits signo then t.n_lost <- t.n_lost + 1
+    (* BSD: not queued, dropped *)
+  else begin
+    t.pending_bits <- Sigset.add t.pending_bits signo;
+    t.pending_code.(signo) <- code;
+    t.pending_origin.(signo) <- origin
+  end
+
 let create ?clock prof =
-  {
-    prof;
-    clk = (match clock with Some c -> c | None -> Clock.create ());
-    pid = 1001;
-    dispositions = Array.make (Sigset.max_signo + 1) Default;
-    mask = Sigset.empty;
-    pending_set = Array.make (Sigset.max_signo + 1) None;
-    n_pending = 0;
-    timers = Timer_wheel.create ();
-    io_queue = [];
-    io_next = max_int;
-    io_completions = Hashtbl.create 8;
-    traps_by_name = Hashtbl.create 16;
-    traps_total = 0;
-    n_sigsetmask = 0;
-    n_posted = 0;
-    n_lost = 0;
-    n_delivered = 0;
-    n_window_traps = 0;
-    blocked_io_ns = 0;
-    trap_fault_hook = None;
-    n_trap_faults = 0;
-  }
+  let clk = match clock with Some c -> c | None -> Clock.create () in
+  let dispositions = Array.make (Sigset.max_signo + 1) Default in
+  let pending_code = Array.make (Sigset.max_signo + 1) 0 in
+  let pending_origin = Array.make (Sigset.max_signo + 1) External in
+  let timers = Timer_wheel.create External in
+  let io_completions = Hashtbl.create 8 in
+  let traps_by_sys = Array.make (List.length all_syscalls) 0 in
+  let rec t =
+    {
+      prof;
+      clk;
+      pid = 1001;
+      dispositions;
+      mask = Sigset.empty;
+      pending_bits = Sigset.empty;
+      pending_code;
+      pending_origin;
+      timers;
+      fire_timer =
+        (fun tm -> post t (Timer_wheel.tag tm) 0 (Timer_wheel.payload tm));
+      io_queue = [];
+      io_next = max_int;
+      io_completions;
+      traps_by_sys;
+      traps_total = 0;
+      n_sigsetmask = 0;
+      n_posted = 0;
+      n_lost = 0;
+      n_delivered = 0;
+      n_window_traps = 0;
+      blocked_io_ns = 0;
+      trap_fault_hook = None;
+      n_trap_faults = 0;
+    }
+  in
+  t
 
 let profile t = t.prof
 let clock t = t.clk
@@ -80,32 +146,36 @@ let now t = Clock.now t.clk
 let advance t ns = Clock.advance t.clk ns
 let insns t n = advance t (Cost_model.insns t.prof n)
 
-let count_trap t name =
+(* Kernel entry: count, charge the round trip, let the fault injector
+   fail the call.  Callers run the call's body inline after it returns —
+   no closure, no name hashing. *)
+let enter t sys ~extra_ns =
   t.traps_total <- t.traps_total + 1;
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.traps_by_name name) in
-  Hashtbl.replace t.traps_by_name name (prev + 1)
-
-let trap t ~name ?(extra_ns = 0) f =
-  count_trap t name;
+  let i = syscall_index sys in
+  t.traps_by_sys.(i) <- t.traps_by_sys.(i) + 1;
   advance t (t.prof.Cost_model.kernel_trap_ns + extra_ns);
   (* The fault injector may decide this trap fails (EINTR and friends): the
      trap is charged and counted, but the operation itself never runs. *)
-  (match t.trap_fault_hook with
+  match t.trap_fault_hook with
   | Some hook -> (
+      let name = syscall_name sys in
       match hook name with
       | Some errno ->
           t.n_trap_faults <- t.n_trap_faults + 1;
           raise (Trap_fault (name, errno))
       | None -> ())
-  | None -> ());
-  f ()
+  | None -> ()
+
+let trap t sys = enter t sys ~extra_ns:0
 
 let set_trap_fault_hook t h = t.trap_fault_hook <- h
 let trap_faults t = t.n_trap_faults
 
-let getpid t = trap t ~name:"getpid" (fun () -> t.pid)
+let getpid t =
+  trap t Getpid;
+  t.pid
 
-let sbrk t _bytes = trap t ~name:"sbrk" ~extra_ns:t.prof.Cost_model.sbrk_ns ignore
+let sbrk t _bytes = enter t Sbrk ~extra_ns:t.prof.Cost_model.sbrk_ns
 
 let flush_windows t =
   t.n_window_traps <- t.n_window_traps + 1;
@@ -119,94 +189,83 @@ let window_underflow t =
 
 let sigaction t signo disp =
   assert (Sigset.is_valid signo);
-  trap t ~name:"sigaction" (fun () -> t.dispositions.(signo) <- disp)
+  trap t Sigaction;
+  t.dispositions.(signo) <- disp
 
 let disposition t signo = t.dispositions.(signo)
 
 let sigsetmask t mask =
   t.n_sigsetmask <- t.n_sigsetmask + 1;
-  trap t ~name:"sigsetmask" (fun () ->
-      let old = t.mask in
-      t.mask <- mask;
-      old)
+  trap t Sigsetmask;
+  let old = t.mask in
+  t.mask <- mask;
+  old
 
 let proc_mask t = t.mask
 
 let post_signal t signo ?(code = 0) ~origin () =
   assert (Sigset.is_valid signo);
-  t.n_posted <- t.n_posted + 1;
-  match t.pending_set.(signo) with
-  | Some _ -> t.n_lost <- t.n_lost + 1 (* BSD: not queued, dropped *)
-  | None ->
-      t.pending_set.(signo) <- Some { code; origin };
-      t.n_pending <- t.n_pending + 1
+  post t signo code origin
 
-let kill t signo ?code ~origin () =
-  trap t ~name:"kill" (fun () -> post_signal t signo ?code ~origin ())
+let kill t signo ?(code = 0) ~origin () =
+  trap t Kill;
+  post_signal t signo ~code ~origin ()
 
-let pending t =
-  let set = ref Sigset.empty in
-  Array.iteri
-    (fun i slot -> if slot <> None then set := Sigset.add !set i)
-    t.pending_set;
-  !set
+let pending t = t.pending_bits
 
+(* The lowest pending, unmasked signal whose disposition is not Ignore, or
+   0 (Ignored pending signals are simply discarded on the way, like the
+   kernel's issig()).  The scan is skipped entirely when nothing is
+   pending — [has_deliverable] runs at every checkpoint, so the
+   nothing-pending case must be O(1). *)
 let first_deliverable t =
-  (* Scan pending slots for an unmasked signal whose disposition is not
-     Ignore (Ignored pending signals are simply discarded, like the
-     kernel's issig()).  The scan is skipped entirely when no slot is
-     occupied — [has_deliverable] runs at every checkpoint, so the
-     nothing-pending case must be O(1). *)
-  if t.n_pending = 0 then None
+  if t.pending_bits = Sigset.empty then 0
   else begin
-    let found = ref None in
+    let found = ref 0 in
     let signo = ref 1 in
-    while !found = None && !signo <= Sigset.max_signo do
-      (match t.pending_set.(!signo) with
-      | Some info when not (Sigset.mem t.mask !signo) -> (
-          match t.dispositions.(!signo) with
-          | Ignore ->
-              t.pending_set.(!signo) <- None;
-              t.n_pending <- t.n_pending - 1
-          | Default | Catch _ -> found := Some (!signo, info))
-      | Some _ | None -> ());
+    while !found = 0 && !signo <= Sigset.max_signo do
+      let s = !signo in
+      if Sigset.mem t.pending_bits s && not (Sigset.mem t.mask s) then begin
+        match t.dispositions.(s) with
+        | Ignore -> t.pending_bits <- Sigset.remove t.pending_bits s
+        | Default | Catch _ -> found := s
+      end;
       incr signo
     done;
     !found
   end
 
-let has_deliverable t = first_deliverable t <> None
+let has_deliverable t = first_deliverable t <> 0
 
 let deliver_pending t =
-  match first_deliverable t with
-  | None -> false
-  | Some (signo, info) -> (
-      t.pending_set.(signo) <- None;
-      t.n_pending <- t.n_pending - 1;
-      match t.dispositions.(signo) with
-      | Ignore -> assert false (* filtered by first_deliverable *)
-      | Default -> raise (Process_killed signo)
-      | Catch { mask; fn } ->
-          t.n_delivered <- t.n_delivered + 1;
-          advance t t.prof.Cost_model.signal_deliver_ns;
-          let saved = t.mask in
-          t.mask <- Sigset.add (Sigset.union t.mask mask) signo;
-          fn ~signo ~code:info.code ~origin:info.origin;
-          (* sigreturn: restore the pre-delivery mask. *)
-          advance t t.prof.Cost_model.sigreturn_ns;
-          t.mask <- saved;
-          true)
+  let signo = first_deliverable t in
+  if signo = 0 then false
+  else begin
+    t.pending_bits <- Sigset.remove t.pending_bits signo;
+    match t.dispositions.(signo) with
+    | Ignore -> assert false (* filtered by first_deliverable *)
+    | Default -> raise (Process_killed signo)
+    | Catch { mask; fn } ->
+        t.n_delivered <- t.n_delivered + 1;
+        advance t t.prof.Cost_model.signal_deliver_ns;
+        let saved = t.mask in
+        t.mask <- Sigset.add (Sigset.union t.mask mask) signo;
+        fn ~signo ~code:t.pending_code.(signo) ~origin:t.pending_origin.(signo);
+        (* sigreturn: restore the pre-delivery mask. *)
+        advance t t.prof.Cost_model.sigreturn_ns;
+        t.mask <- saved;
+        true
+  end
 
 (* Timers and asynchronous I/O --------------------------------------- *)
 
 let arm_timer t ~after_ns ~interval_ns ~signo ~origin =
-  trap t ~name:"setitimer" (fun () ->
-      Timer_wheel.arm t.timers ~now:(now t) ~after_ns ~interval_ns
-        (signo, origin))
+  trap t Setitimer;
+  Timer_wheel.arm t.timers ~now:(now t) ~after_ns ~interval_ns ~tag:signo origin
 
-let disarm_timer t id =
-  trap t ~name:"setitimer" (fun () ->
-      ignore (Timer_wheel.disarm t.timers id : bool))
+let disarm_timer t tm =
+  trap t Setitimer;
+  ignore (Timer_wheel.disarm t.timers tm : bool)
 
 (* Pure observation — no trap, no time charge: used by tests to assert a
    completed wait left nothing armed. *)
@@ -215,26 +274,25 @@ let armed_timer_peak t = Timer_wheel.peak_armed t.timers
 let timer_cascades t = Timer_wheel.cascades t.timers
 
 let blocking_read t ~latency_ns =
-  trap t ~name:"read" (fun () ->
-      (* the process sleeps in the kernel: nothing else can run *)
-      advance t latency_ns;
-      t.blocked_io_ns <- t.blocked_io_ns + latency_ns)
+  trap t Read;
+  (* the process sleeps in the kernel: nothing else can run *)
+  advance t latency_ns;
+  t.blocked_io_ns <- t.blocked_io_ns + latency_ns
 
 let blocking_io_ns t = t.blocked_io_ns
 
 let submit_io t ~latency_ns ~requester =
-  trap t ~name:"aioread" (fun () ->
-      let complete_at = now t + latency_ns in
-      t.io_queue <- { complete_at; requester } :: t.io_queue;
-      if complete_at < t.io_next then t.io_next <- complete_at)
+  trap t Aioread;
+  let complete_at = now t + latency_ns in
+  t.io_queue <- { complete_at; requester } :: t.io_queue;
+  if complete_at < t.io_next then t.io_next <- complete_at
 
 let check_events t =
   let time = now t in
   (* Timers: the wheel fires everything due, in (expiry, id) order — a
      deterministic order the prepend-to-a-list representation could not
      give (it fired same-tick timers in reverse-arm order). *)
-  Timer_wheel.advance t.timers ~now:time ~fire:(fun ~id:_ (signo, origin) ->
-      post_signal t signo ~origin ());
+  Timer_wheel.advance t.timers ~now:time ~fire:t.fire_timer;
   if t.io_next <= time then begin
     let done_, waiting =
       List.partition (fun io -> io.complete_at <= time) t.io_queue
@@ -283,19 +341,18 @@ let completion_requesters t =
    the clock here and re-run [check_events] converge in at most
    [Timer_wheel.levels] refinements; the clock never overshoots a real
    event. *)
-let next_event_time t =
-  let timer_next = Timer_wheel.next_expiry t.timers in
-  let io_next = if t.io_next = max_int then None else Some t.io_next in
-  match (timer_next, io_next) with
-  | None, n | n, None -> n
-  | Some a, Some b -> Some (min a b)
+let next_event_time t = min (Timer_wheel.next_expiry t.timers) t.io_next
 
 (* Accounting --------------------------------------------------------- *)
 
 let trap_count t = t.traps_total
 
 let trap_counts t =
-  Hashtbl.fold (fun name n acc -> (name, n) :: acc) t.traps_by_name []
+  List.filter_map
+    (fun sys ->
+      let n = t.traps_by_sys.(syscall_index sys) in
+      if n > 0 then Some (syscall_name sys, n) else None)
+    all_syscalls
   |> List.sort compare
 
 let sigsetmask_count t = t.n_sigsetmask
@@ -305,7 +362,7 @@ let signals_delivered t = t.n_delivered
 let window_trap_count t = t.n_window_traps
 
 let reset_counters t =
-  Hashtbl.reset t.traps_by_name;
+  Array.fill t.traps_by_sys 0 (Array.length t.traps_by_sys) 0;
   t.traps_total <- 0;
   t.n_sigsetmask <- 0;
   t.n_posted <- 0;

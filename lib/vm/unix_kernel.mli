@@ -62,10 +62,24 @@ val insns : t -> int -> unit
 
 (** {1 Kernel entry} *)
 
-val trap : t -> name:string -> ?extra_ns:int -> (unit -> 'a) -> 'a
-(** Enter the kernel, run the body, leave.  Charges the round-trip trap cost
-    plus [extra_ns] and counts the call under [name].  May raise
-    {!Trap_fault} when a fault hook is installed. *)
+type syscall =
+  | Getpid
+  | Sbrk
+  | Sigaction
+  | Sigsetmask
+  | Kill
+  | Sigpause
+  | Setitimer
+  | Read
+  | Aioread
+  | Write
+      (** The kernel calls the library and its baselines make; {!trap_counts}
+          and the fault hook name them in lower case (["sigsetmask"]). *)
+
+val trap : t -> syscall -> unit
+(** Enter the kernel: charge the round-trip trap cost and count the call.
+    The caller then runs the call's effect inline.  May raise
+    {!Trap_fault} when a fault hook is installed, before the effect. *)
 
 exception Trap_fault of string * int
 (** [Trap_fault (trap_name, errno)]: the installed fault hook decided this
@@ -129,15 +143,18 @@ val has_deliverable : t -> bool
 
 (** {1 Timers and asynchronous I/O} *)
 
+type timer
+(** An armed interval timer: the handle {!disarm_timer} takes. *)
+
 val arm_timer :
-  t -> after_ns:int -> interval_ns:int -> signo:Sigset.signo -> origin:origin -> int
+  t -> after_ns:int -> interval_ns:int -> signo:Sigset.signo -> origin:origin -> timer
 (** Arm a timer firing at [now + after_ns] and then every [interval_ns]
     (one-shot if [interval_ns = 0]); posts [signo] with [origin] on expiry.
-    Returns a timer id.  A kernel call ([setitimer]). *)
+    A kernel call ([setitimer]). *)
 
-val disarm_timer : t -> int -> unit
-(** Cancel the timer with the given id (no-op if it already fired or never
-    existed).  A kernel call ([setitimer]). *)
+val disarm_timer : t -> timer -> unit
+(** Cancel the timer (no-op if it already fired or was already disarmed).
+    A kernel call ([setitimer]). *)
 
 val armed_timer_count : t -> int
 (** Timers currently armed (one-shots not yet fired plus interval timers).
@@ -193,8 +210,8 @@ val check_events : t -> unit
 (** Post signals for any timers or I/O completions whose time has come.
     Called by the library at every checkpoint. *)
 
-val next_event_time : t -> int option
-(** Earliest future timer expiry or I/O completion, if any — used by the
+val next_event_time : t -> int
+(** Earliest future timer expiry or I/O completion, [max_int] if none — used by the
     scheduler to advance the clock when all threads are blocked.  For
     timers this is a timing-wheel bucket deadline: a lower bound on the
     true expiry that becomes exact after the clock advances to it and

@@ -44,9 +44,9 @@ let pingpong_iteration_ns prof ~iterations =
   let leg sender receiver =
     (* kill(2): the trap is charged to the sender, the signal lands on the
        receiving process. *)
-    Unix_kernel.trap sender ~name:"kill" ignore;
+    Unix_kernel.trap sender Kill;
     Unix_kernel.post_signal receiver Sigset.sigusr1 ~origin:Unix_kernel.External ();
-    Unix_kernel.trap sender ~name:"sigpause" ignore;
+    Unix_kernel.trap sender Sigpause;
     Clock.advance clock (process_switch_cost_ns prof);
     ignore (Unix_kernel.deliver_pending receiver : bool)
   in

@@ -319,6 +319,52 @@ let test_vm_echo_deterministic () =
   let a = run_once () and b = run_once () in
   check bool "two virtual runs bit-identical" true (a = b)
 
+(* A long-lived virtual engine's object census holds its open
+   connections, not every connection it ever had: Net.close retires a
+   closed connection's pipe mutexes and conds, and the invariant checker
+   still walks the survivors in creation order. *)
+let test_vm_census_constant_under_churn () =
+  let census proc =
+    let n = ref 0 and names = ref [] in
+    Engine.iter_mutexes proc (fun m ->
+        incr n;
+        names := m.Types.m_name :: !names);
+    Engine.iter_conds proc (fun _ -> incr n);
+    (!n, List.rev !names)
+  in
+  check int "main exits" 0
+    (run_main (fun proc ->
+         let keep = Mutex.create proc ~name:"before" () in
+         let l = Net.listen proc ~port:0 () in
+         let port = Net.port proc l in
+         let cycle () =
+           let c = Net.connect proc ~port in
+           let s = Net.accept proc l in
+           Net.close proc c;
+           Net.close proc s
+         in
+         cycle ();
+         let open_conn = Net.connect proc ~port in
+         let open_peer = Net.accept proc l in
+         let before = census proc in
+         for _ = 1 to 10_000 do
+           cycle ()
+         done;
+         let after = census proc in
+         check int "census size unchanged by 10^4 connect/close cycles"
+           (fst before) (fst after);
+         check (Alcotest.list string) "survivors in creation order"
+           [ "before"; "net.listener"; "net.pipe"; "net.pipe" ]
+           (snd after);
+         (match Check.Invariant.check proc with
+         | None -> ()
+         | Some msg -> Alcotest.failf "invariant: %s" msg);
+         Net.close proc open_conn;
+         Net.close proc open_peer;
+         Mutex.lock proc keep;
+         Mutex.unlock proc keep;
+         0))
+
 (* Unix backend: a real host signal (SIGUSR1 via kill(2)) is forwarded
    into the simulated process and delivered through the same universal
    handler as everything else. *)
@@ -389,6 +435,8 @@ let suite =
             test_vm_simultaneous_completion_collapse;
           tc "vm: concurrent echo run is deterministic"
             test_vm_echo_deterministic;
+          tc "vm: census constant under connect/close churn"
+            test_vm_census_constant_under_churn;
           tc "unix: host signal forwarding" test_unix_host_signal_forwarding;
           tc "unix: idle host signal rings the doorbell"
             test_unix_idle_signal_rings_doorbell;

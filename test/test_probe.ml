@@ -6,21 +6,26 @@
 open Tu
 open Pthreads
 
-(* Minor words allocated per call of [f], over [n] calls inside a thread
-   of an unobserved process. *)
-let words_per_call ?(n = 10_000) f =
+(* Minor words allocated per call of the operation [setup proc] returns,
+   over [n] calls inside a thread of an unobserved process.  [setup]
+   builds whatever the operation works on (a mutex, a cond) outside the
+   measured window. *)
+let words_per_op ?(n = 10_000) setup =
   let r = ref nan in
   ignore
     (Pthread.run (fun proc ->
-         f proc;
+         let op = setup proc in
+         op ();
          (* warm-up call above; measure the steady state *)
          let w0 = Gc.minor_words () in
          for _ = 1 to n do
-           f proc
+           op ()
          done;
          r := (Gc.minor_words () -. w0) /. float_of_int n;
          0));
   !r
+
+let words_per_call ?n f = words_per_op ?n (fun proc () -> f proc)
 
 let test_unobserved_emitters_allocate_nothing () =
   let key = Engine.key_mutex 1 in
@@ -47,6 +52,71 @@ let test_unobserved_emitters_allocate_nothing () =
          over 10^4 calls *)
       if w > 0.01 then Alcotest.failf "%s allocates %.2f words/call" name w)
     cases
+
+(* Minor words per round of a two-thread cond ping-pong, measured from
+   one player while the other keeps pace. *)
+let cond_pingpong_words n =
+  let r = ref nan in
+  ignore
+    (Pthread.run (fun proc ->
+         let m = Mutex.create proc () and c = Cond.create proc () in
+         let turn = ref 0 in
+         let player me rounds =
+           for _ = 1 to rounds do
+             Mutex.lock proc m;
+             while !turn <> me do
+               ignore (Cond.wait proc c m : Cond.wait_result)
+             done;
+             turn := 1 - me;
+             Cond.signal proc c;
+             Mutex.unlock proc m
+           done
+         in
+         let warm = 100 in
+         let partner = Pthread.create_unit proc (fun () -> player 1 (warm + n)) in
+         player 0 warm;
+         let w0 = Gc.minor_words () in
+         player 0 n;
+         r := (Gc.minor_words () -. w0) /. float_of_int n;
+         ignore (Pthread.join proc partner);
+         0));
+  !r
+
+(* The steady-state hot path of an unobserved engine: what one request
+   costs in [sharded_serving] is a handful of these.  Kernel entry, the
+   checkpoint poll and the uncontended lock and signal paths allocate
+   nothing; a timed sleep and a blocking cond handoff pay only for what
+   outlives the call (the timer, the sleep-heap entry, the suspended
+   continuation) under a fixed ceiling. *)
+let test_hot_path_budgets () =
+  let mask_noop proc =
+    let k = proc.Types.vm in
+    ignore (Vm.Unix_kernel.sigsetmask k (Vm.Unix_kernel.proc_mask k) : Vm.Sigset.t)
+  in
+  let lock_unlock proc =
+    let m = Mutex.create proc () in
+    fun () ->
+      Mutex.lock proc m;
+      Mutex.unlock proc m
+  in
+  let signal_nobody proc =
+    let c = Cond.create proc () in
+    fun () -> Cond.signal proc c
+  in
+  let over = ref [] in
+  let budget name limit w =
+    Printf.printf "%s: %.2f words/call (budget %.2f)\n" name w limit;
+    if w > limit then over := name :: !over
+  in
+  (* 0.01: the two Gc.minor_words readings box a float each *)
+  budget "Pthread.checkpoint" 0.01 (words_per_call Pthread.checkpoint);
+  budget "Unix_kernel.sigsetmask" 0.01 (words_per_call mask_noop);
+  budget "Mutex.lock/unlock (uncontended)" 0.01 (words_per_op lock_unlock);
+  budget "Cond.signal (no waiter)" 0.01 (words_per_op signal_nobody);
+  budget "Pthread.delay" 24. (words_per_call ~n:2_000 (fun proc -> Pthread.delay proc ~ns:1_000));
+  budget "cond ping-pong round" 16. (cond_pingpong_words 2_000);
+  if !over <> [] then
+    Alcotest.failf "over budget: %s" (String.concat ", " (List.rev !over))
 
 let test_subscribers_see_registration_order () =
   let log = ref [] in
@@ -139,6 +209,7 @@ let suite =
       [
         tc "unobserved emitters allocate nothing"
           test_unobserved_emitters_allocate_nothing;
+        tc "hot path allocation budgets" test_hot_path_budgets;
         tc "subscribers in registration order"
           test_subscribers_see_registration_order;
         tc "sanitizer detach keeps the injector" test_detach_keeps_other_subscribers;

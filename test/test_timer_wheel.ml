@@ -13,6 +13,14 @@ module K = Vm.Unix_kernel
 module Sigset = Vm.Sigset
 module Cost_model = Vm.Cost_model
 
+(* Arm with tag 0; firings are observed by arm id; no deadline is None. *)
+let arm w ~now ~after_ns ~interval_ns p = W.arm w ~now ~after_ns ~interval_ns ~tag:0 p
+let by_id f tm = f (W.id tm)
+
+let next_expiry w =
+  let d = W.next_expiry w in
+  if d = max_int then None else Some d
+
 (* ------------------------------------------------------------------ *)
 (* Reference model: a plain association list, sorted on demand          *)
 (* ------------------------------------------------------------------ *)
@@ -108,6 +116,7 @@ let ops_gen = QCheck2.Gen.(list_size (int_range 10 120) op_gen)
 
 let run_against_model ops =
   let w = W.create () in
+  let handles = Hashtbl.create 16 in
   let m = m_create () in
   let check_after_advance now =
     if W.armed w <> List.length m.armed_m then
@@ -115,7 +124,7 @@ let run_against_model ops =
         (W.armed w) (List.length m.armed_m);
     (* next_expiry: None iff empty; otherwise a bound in
        (now, min-true-expiry]. *)
-    match W.next_expiry w with
+    match next_expiry w with
     | None ->
         if m.armed_m <> [] then
           QCheck2.Test.fail_reportf "next_expiry None with %d armed"
@@ -136,7 +145,9 @@ let run_against_model ops =
       let now = W.now w in
       match op with
       | Arm (after_ns, interval_ns) ->
-          let wid = W.arm w ~now ~after_ns ~interval_ns () in
+          let h = arm w ~now ~after_ns ~interval_ns () in
+          let wid = W.id h in
+          Hashtbl.replace handles wid h;
           let mid = m_arm m ~now ~after_ns ~interval_ns in
           if wid <> mid then
             QCheck2.Test.fail_reportf "id mismatch: wheel %d, model %d" wid mid
@@ -144,14 +155,18 @@ let run_against_model ops =
           (* ids are dense from 1: reduce the hint onto handed-out ids so
              roughly half the disarms hit a live timer *)
           let id = 1 + (hint mod max 1 (m.next_mid - 1)) in
-          let wr = W.disarm w id in
+          let wr =
+            match Hashtbl.find_opt handles id with
+            | Some h -> W.disarm w h
+            | None -> false
+          in
           let mr = m_disarm m id in
           if wr <> mr then
             QCheck2.Test.fail_reportf "disarm %d: wheel %b, model %b" id wr mr
       | Advance dt ->
           let target = now + dt in
           let fired = ref [] in
-          W.advance w ~now:target ~fire:(fun ~id () -> fired := id :: !fired);
+          W.advance w ~now:target ~fire:(by_id (fun id -> fired := id :: !fired));
           let got = List.rev !fired in
           let expected = m_advance m ~now:target in
           if got <> expected then
@@ -168,11 +183,11 @@ let run_against_model ops =
   let continue = ref true in
   while !continue && !rounds < 200 do
     incr rounds;
-    match W.next_expiry w with
+    match next_expiry w with
     | None -> continue := false
     | Some d ->
         let fired = ref [] in
-        W.advance w ~now:d ~fire:(fun ~id () -> fired := id :: !fired);
+        W.advance w ~now:d ~fire:(by_id (fun id -> fired := id :: !fired));
         let got = List.rev !fired in
         let expected = m_advance m ~now:d in
         if got <> expected then
@@ -195,12 +210,12 @@ let prop_model =
 (* The list-based kernel prepended on arm and fired in reverse-arm order;
    the wheel must fire same-tick timers in arm (= id) order. *)
 let test_same_tick_order () =
-  let w = W.create () in
-  let a = W.arm w ~now:0 ~after_ns:1_000 ~interval_ns:0 "a" in
-  let b = W.arm w ~now:0 ~after_ns:1_000 ~interval_ns:0 "b" in
-  let c = W.arm w ~now:0 ~after_ns:1_000 ~interval_ns:0 "c" in
+  let w = W.create "" in
+  let a = W.id (arm w ~now:0 ~after_ns:1_000 ~interval_ns:0 "a") in
+  let b = W.id (arm w ~now:0 ~after_ns:1_000 ~interval_ns:0 "b") in
+  let c = W.id (arm w ~now:0 ~after_ns:1_000 ~interval_ns:0 "c") in
   let fired = ref [] in
-  W.advance w ~now:1_000 ~fire:(fun ~id _ -> fired := id :: !fired);
+  W.advance w ~now:1_000 ~fire:(by_id (fun id -> fired := id :: !fired));
   check (Alcotest.list int) "arm order, not reverse-arm order" [ a; b; c ]
     (List.rev !fired)
 
@@ -209,12 +224,12 @@ let test_same_tick_order () =
    clock has already moved.  The cascade must merge before the slot
    fires, so [a] (the smaller id) still fires first. *)
 let test_same_tick_cascade_merge () =
-  let w = W.create () in
-  let a = W.arm w ~now:0 ~after_ns:10_000 ~interval_ns:0 "a" in
-  W.advance w ~now:9_990 ~fire:(fun ~id:_ _ -> Alcotest.fail "early fire");
-  let b = W.arm w ~now:9_990 ~after_ns:10 ~interval_ns:0 "b" in
+  let w = W.create "" in
+  let a = W.id (arm w ~now:0 ~after_ns:10_000 ~interval_ns:0 "a") in
+  W.advance w ~now:9_990 ~fire:(fun _ -> Alcotest.fail "early fire");
+  let b = W.id (arm w ~now:9_990 ~after_ns:10 ~interval_ns:0 "b") in
   let fired = ref [] in
-  W.advance w ~now:10_000 ~fire:(fun ~id _ -> fired := id :: !fired);
+  W.advance w ~now:10_000 ~fire:(by_id (fun id -> fired := id :: !fired));
   check (Alcotest.list int) "cascaded timer keeps id order" [ a; b ]
     (List.rev !fired);
   check bool "the far timer was re-bucketed at least once" true
@@ -227,9 +242,9 @@ let test_kernel_same_tick_collapse () =
   let k = K.create Cost_model.sparc_ipx in
   let lost0 = K.signals_lost k in
   ignore (K.arm_timer k ~after_ns:50_000 ~interval_ns:0 ~signo:Sigset.sigalrm
-            ~origin:(K.Timer 0) : int);
+            ~origin:(K.Timer 0) : K.timer);
   ignore (K.arm_timer k ~after_ns:50_000 ~interval_ns:0 ~signo:Sigset.sigalrm
-            ~origin:(K.Timer 0) : int);
+            ~origin:(K.Timer 0) : K.timer);
   K.advance k 60_000;
   K.check_events k;
   check int "both one-shots expired" 0 (K.armed_timer_count k);
@@ -247,15 +262,15 @@ let test_kernel_same_tick_collapse () =
 let test_far_future_convergence () =
   let w = W.create () in
   let expiry = 123_456_789_012_345 in
-  ignore (W.arm w ~now:0 ~after_ns:expiry ~interval_ns:0 () : int);
+  ignore (arm w ~now:0 ~after_ns:expiry ~interval_ns:0 () : unit W.timer);
   let fired_at = ref (-1) in
   let rounds = ref 0 in
   while !fired_at < 0 do
     incr rounds;
     if !rounds > W.levels then Alcotest.fail "next_expiry did not converge";
-    match W.next_expiry w with
+    match next_expiry w with
     | None -> Alcotest.fail "timer lost"
-    | Some d -> W.advance w ~now:d ~fire:(fun ~id:_ () -> fired_at := d)
+    | Some d -> W.advance w ~now:d ~fire:(fun _ -> fired_at := d)
   done;
   check int "fired exactly at its expiry" expiry !fired_at;
   check bool
@@ -268,12 +283,12 @@ let test_far_future_convergence () =
    firing and re-arms strictly after the clock. *)
 let test_interval_catch_up () =
   let w = W.create () in
-  ignore (W.arm w ~now:0 ~after_ns:10_000 ~interval_ns:10_000 () : int);
+  ignore (arm w ~now:0 ~after_ns:10_000 ~interval_ns:10_000 () : unit W.timer);
   let fires = ref 0 in
-  W.advance w ~now:95_000 ~fire:(fun ~id:_ () -> incr fires);
+  W.advance w ~now:95_000 ~fire:(fun _ -> incr fires);
   check int "missed periods collapse into one firing" 1 !fires;
   check int "still armed" 1 (W.armed w);
-  (match W.next_expiry w with
+  (match next_expiry w with
   | Some d ->
       (* a bucket deadline: a lower bound in (now, true expiry] *)
       check bool
@@ -281,7 +296,7 @@ let test_interval_catch_up () =
         true
         (d > 95_000 && d <= 100_000)
   | None -> Alcotest.fail "interval timer lost");
-  W.advance w ~now:100_000 ~fire:(fun ~id:_ () -> incr fires);
+  W.advance w ~now:100_000 ~fire:(fun _ -> incr fires);
   check int "fires again on schedule" 2 !fires
 
 (* armed is a maintained counter, not a scan: it must track arm / fire /
@@ -291,7 +306,7 @@ let test_armed_count_tracks () =
   let w = W.create () in
   let ids =
     List.init 100 (fun i ->
-        W.arm w ~now:0 ~after_ns:(1 + (i * 37 mod 5_000)) ~interval_ns:0 ())
+        arm w ~now:0 ~after_ns:(1 + (i * 37 mod 5_000)) ~interval_ns:0 ())
   in
   check int "all armed" 100 (W.armed w);
   List.iteri
@@ -299,9 +314,58 @@ let test_armed_count_tracks () =
     ids;
   let disarmed = (100 + 2) / 3 in
   check int "disarms tracked" (100 - disarmed) (W.armed w);
-  W.advance w ~now:5_001 ~fire:(fun ~id:_ () -> ());
+  W.advance w ~now:5_001 ~fire:ignore;
   check int "fires tracked" 0 (W.armed w);
   check int "peak saw the full population" 100 (W.peak_armed w)
+
+(* ------------------------------------------------------------------ *)
+(* Handle semantics: the timer record is the handle, no id table         *)
+(* ------------------------------------------------------------------ *)
+
+let test_disarm_fired_one_shot () =
+  let w = W.create () in
+  let h = arm w ~now:0 ~after_ns:100 ~interval_ns:0 () in
+  W.advance w ~now:100 ~fire:ignore;
+  check bool "a fired one-shot cannot be disarmed" false (W.disarm w h);
+  check int "nothing armed" 0 (W.armed w)
+
+let test_double_disarm () =
+  let w = W.create () in
+  let h = arm w ~now:0 ~after_ns:100 ~interval_ns:0 () in
+  let other = arm w ~now:0 ~after_ns:100 ~interval_ns:0 () in
+  check bool "first disarm cancels" true (W.disarm w h);
+  check bool "second disarm is a no-op" false (W.disarm w h);
+  check int "the other timer is untouched" 1 (W.armed w);
+  let fired = ref [] in
+  W.advance w ~now:100 ~fire:(by_id (fun id -> fired := id :: !fired));
+  check (Alcotest.list int) "only the other timer fires" [ W.id other ] !fired
+
+let test_disarm_interval_after_firings () =
+  let w = W.create () in
+  let h = arm w ~now:0 ~after_ns:1_000 ~interval_ns:1_000 () in
+  let fires = ref 0 in
+  List.iter
+    (fun now -> W.advance w ~now ~fire:(fun _ -> incr fires))
+    [ 1_000; 2_000; 3_000 ];
+  check int "fired on every period" 3 !fires;
+  check bool "still cancellable after firing" true (W.disarm w h);
+  W.advance w ~now:10_000 ~fire:(fun _ -> incr fires);
+  check int "silent once disarmed" 3 !fires;
+  check int "nothing armed" 0 (W.armed w)
+
+(* Arm order, not bucket order: timers armed at different distances (so
+   into different levels) for one expiry still fire by arm sequence. *)
+let test_same_expiry_arm_order () =
+  let w = W.create () in
+  let far = arm w ~now:0 ~after_ns:50_000 ~interval_ns:0 () in
+  W.advance w ~now:40_000 ~fire:ignore;
+  let mid = arm w ~now:40_000 ~after_ns:10_000 ~interval_ns:0 () in
+  W.advance w ~now:49_990 ~fire:ignore;
+  let near = arm w ~now:49_990 ~after_ns:10 ~interval_ns:0 () in
+  let fired = ref [] in
+  W.advance w ~now:50_000 ~fire:(by_id (fun id -> fired := id :: !fired));
+  check (Alcotest.list int) "arm order" (List.map W.id [ far; mid; near ])
+    (List.rev !fired)
 
 let suite =
   [
@@ -314,5 +378,9 @@ let suite =
         tc "far-future convergence" test_far_future_convergence;
         tc "interval catch-up" test_interval_catch_up;
         tc "armed count" test_armed_count_tracks;
+        tc "disarm a fired one-shot" test_disarm_fired_one_shot;
+        tc "double disarm" test_double_disarm;
+        tc "disarm an interval timer after firings" test_disarm_interval_after_firings;
+        tc "same expiry fires in arm order" test_same_expiry_arm_order;
       ] );
   ]

@@ -97,21 +97,20 @@ let test_timer_oneshot () =
   let k = mk () in
   K.sigaction k Sigset.sigalrm
     (K.Catch { mask = Sigset.empty; fn = (fun ~signo:_ ~code:_ ~origin:_ -> ()) });
-  let id =
-    K.arm_timer k ~after_ns:1_000 ~interval_ns:0 ~signo:Sigset.sigalrm
-      ~origin:(K.Timer 3)
-  in
-  ignore (id : int);
+  ignore
+    (K.arm_timer k ~after_ns:1_000 ~interval_ns:0 ~signo:Sigset.sigalrm
+       ~origin:(K.Timer 3)
+      : K.timer);
   K.check_events k;
   check bool "not yet" true (Sigset.is_empty (K.pending k));
-  check bool "next event known" true (K.next_event_time k <> None);
+  check bool "next event known" true (K.next_event_time k <> max_int);
   K.advance k 2_000;
   K.check_events k;
   check bool "fired" true (Sigset.mem (K.pending k) Sigset.sigalrm);
   K.advance k 10_000;
   ignore (K.deliver_pending k : bool) |> ignore;
   (* one-shot: no rearm *)
-  check bool "no next event" true (K.next_event_time k = None)
+  check bool "no next event" true (K.next_event_time k = max_int)
 
 let test_timer_interval () =
   let k = mk () in
@@ -122,7 +121,7 @@ let test_timer_interval () =
   ignore
     (K.arm_timer k ~after_ns:1_000 ~interval_ns:1_000 ~signo:Sigset.sigalrm
        ~origin:K.Slice
-      : int);
+      : K.timer);
   for _ = 1 to 3 do
     K.advance k 1_000;
     K.check_events k;
@@ -145,7 +144,7 @@ let test_aio () =
   let k = mk () in
   K.submit_io k ~latency_ns:2_000 ~requester:7;
   K.check_events k;
-  check bool "pending completion" true (K.next_event_time k <> None);
+  check bool "pending completion" true (K.next_event_time k <> max_int);
   K.advance k 3_000;
   K.check_events k;
   check bool "SIGIO posted" true (Sigset.mem (K.pending k) Sigset.sigio)

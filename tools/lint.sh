@@ -23,17 +23,18 @@ if grep -rn --include='*.ml' --include='*.mli' 'Obj\.magic' lib/ >&2; then
   fail=1
 fi
 
-# 3. No polymorphic comparison on TCBs.  The queue sentinels close the
-#    TCB graph into cycles, so structural (=)/(<>) against them loops or
-#    lies; the queues are defined over physical identity (==)/(!=).
+# 3. No polymorphic comparison on TCBs.  The link sentinels close the
+#    TCB and mutex graphs into cycles, so structural (=)/(<>) against them
+#    loops or lies; the links are defined over physical identity (==)/(!=).
 #    Record-field initializers ("q_next = nil_tcb;") are the one legal
 #    structural-looking form and are filtered out.
-hits=$(grep -rnE --include='*.ml' '(=|<>)[[:space:]]*(nil_tcb|nil_pq)' lib/pthreads/ |
-  grep -vE '=[[:space:]]*(nil_tcb|nil_pq)[[:space:]]*([;}].*)?$' |
-  grep -vE '(==|!=)[[:space:]]*(nil_tcb|nil_pq)')
+nil='(nil_tcb|nil_pq|nil_mutex|nil_cond|nil_level)'
+hits=$(grep -rnE --include='*.ml' "(=|<>)[[:space:]]*$nil" lib/pthreads/ |
+  grep -vE "=[[:space:]]*$nil[[:space:]]*([;}].*)?\$" |
+  grep -vE "(==|!=)[[:space:]]*$nil")
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits" >&2
-  echo "lint: structural compare against nil_tcb/nil_pq in lib/pthreads — use (==)/(!=)" >&2
+  echo "lint: structural compare against a nil_* sentinel in lib/pthreads — use (==)/(!=)" >&2
   fail=1
 fi
 
@@ -73,6 +74,27 @@ hits=$(grep -nE 'mutable[[:space:]]+[a-z_]*_hook[[:space:]]*:' lib/pthreads/type
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits" >&2
   echo "lint: hook slot in lib/pthreads/types.ml — subscribe to the engine probe (Engine.subscribe) instead" >&2
+  fail=1
+fi
+
+# 7. No module-level mutable state in the engine, the kernel or the
+#    timing wheel.  Shards run engines on parallel domains, so a cache
+#    added for speed must live in the engine or kernel record: a top-level
+#    [let x = ref ...], [Hashtbl.create], [Array.make] (or the like) is
+#    shared by every domain.  A value-binding's right-hand side is read
+#    from its own line or, when the line ends at "=", from the next one.
+hits=$(awk '
+  pending { if ($0 ~ re) print FILENAME ":" line ": " text; pending = 0 }
+  /^let [a-z_][A-Za-z0-9_'"'"']*[[:space:]]*(:[^=]*)?=/ {
+    text = $0; line = FNR
+    rhs = $0; sub(/^[^=]*=/, "", rhs)
+    if (rhs ~ /^[[:space:]]*$/) pending = 1
+    else if (rhs ~ re) print FILENAME ":" FNR ": " $0
+  }' re='^[[:space:]]*(ref[[:space:](]|(Hashtbl|Queue|Stack|Buffer|Atomic)\.create|Atomic\.make|Array\.(make|init)|Bytes\.(make|create))' \
+  lib/pthreads/engine.ml lib/vm/unix_kernel.ml lib/vm/timer_wheel.ml)
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: module-level mutable state — keep it in the engine or kernel record (shards run engines on parallel domains)" >&2
   fail=1
 fi
 
