@@ -1,108 +1,11 @@
-(* MCS-style queue lock for the cross-shard paths of the parallel engine.
+(* An alias over [Stdlib.Mutex], the lock the shards take.  Nothing in the
+   library uses it: it exists only for the benchmark ladder's [qlock.*]
+   rows. *)
 
-   Why a queue lock and not the paper's test-and-set: under contention a
-   test-and-set lock makes every waiter hammer the same cache line
-   (invalidation storms) and admits starvation — the paper could accept
-   both because its "kernel flag" is only ever taken by one UNIX process.
-   The cross-shard paths (remote wakeups, spawn inboxes, global signal
-   posts) are taken by several OCaml domains at once, so we want the MCS
-   properties instead: each waiter spins on its *own* node's flag (local
-   spinning, one cache line per waiter) and the lock is handed off in
-   strict arrival order (FIFO — no starvation, and the property the
-   qlock tests assert).
+type t = Stdlib.Mutex.t
+type token = unit
 
-   This is the heap-allocated variant of MCS: a fresh node per acquire,
-   returned to the caller as the release token.  OCaml's GC makes the
-   classic MCS reclamation hazard (a predecessor freeing its node while
-   the successor still spins on it) a non-issue, which is also why we can
-   use MCS rather than CLH — no explicit node recycling protocol.
-
-   Critical sections guarded by these locks must be short and must never
-   block, suspend a thread, or re-enter the scheduler: the holder runs on
-   a real domain and every other domain queued behind it is burning a
-   core.  Push a message, flip a field, get out. *)
-
-type node = {
-  locked : bool Atomic.t;  (* true while this waiter must keep spinning *)
-  next : node option Atomic.t;
-}
-
-(* The "unheld" sentinel.  [tail] holds bare nodes, not options, because
-   [Atomic.compare_and_set] compares physically: release must CAS with
-   the very block acquire stored, and a freshly allocated [Some me]
-   would never match.  [nil] is compared by identity only and never
-   linked (an acquirer whose predecessor is [nil] holds the lock and
-   does not touch the predecessor). *)
-let nil = { locked = Atomic.make false; next = Atomic.make None }
-
-type t = {
-  tail : node Atomic.t;  (* [nil] when unheld; else the newest waiter *)
-  name : string;
-  acquisitions : int Atomic.t;  (* uncontended + contended, for stats *)
-  contended : int Atomic.t;  (* acquires that found a predecessor *)
-}
-
-let create ?(name = "qlock") () =
-  {
-    tail = Atomic.make nil;
-    name;
-    acquisitions = Atomic.make 0;
-    contended = Atomic.make 0;
-  }
-
-let name t = t.name
-
-(* Spin locally for a while, then start conceding the core with
-   microsecond naps.  On a host with fewer cores than spinning domains a
-   pure spin is pathological: FIFO handoff makes one specific —
-   possibly descheduled — domain the next owner, and every waiter that
-   is scheduled instead burns its whole OS quantum polling, so the lock
-   convoys at one handoff per context switch.  Bounded spinning keeps
-   the fast path (owner running on another core) at cache speed and the
-   oversubscribed path at nap granularity. *)
-let spin_limit = 1024
-
-let rec spin_while cond spins =
-  if cond () then
-    if spins < spin_limit then begin
-      Domain.cpu_relax ();
-      spin_while cond (spins + 1)
-    end
-    else begin
-      Vm.Real_clock.nap ();
-      spin_while cond spins
-    end
-
-let acquire t =
-  let me = { locked = Atomic.make true; next = Atomic.make None } in
-  Atomic.incr t.acquisitions;
-  let pred = Atomic.exchange t.tail me in
-  if pred != nil then begin
-    Atomic.incr t.contended;
-    (* link behind the predecessor, then spin on our own flag — the
-       predecessor's release flips it *)
-    Atomic.set pred.next (Some me);
-    spin_while (fun () -> Atomic.get me.locked) 0
-  end;
-  me
-
-let release t me =
-  match Atomic.get me.next with
-  | Some succ -> Atomic.set succ.locked false
-  | None ->
-      if Atomic.compare_and_set t.tail me nil then ()
-      else begin
-        (* a successor won the exchange on [tail] but has not linked
-           itself yet: wait for the link, then hand off *)
-        spin_while (fun () -> Option.is_none (Atomic.get me.next)) 0;
-        match Atomic.get me.next with
-        | Some succ -> Atomic.set succ.locked false
-        | None -> assert false
-      end
-
-let with_lock t f =
-  let tok = acquire t in
-  Fun.protect ~finally:(fun () -> release t tok) f
-
-let acquisition_count t = Atomic.get t.acquisitions
-let contended_count t = Atomic.get t.contended
+let create = Stdlib.Mutex.create
+let acquire = Stdlib.Mutex.lock
+let release t () = Stdlib.Mutex.unlock t
+let with_lock = Stdlib.Mutex.protect

@@ -1,42 +1,13 @@
-(** MCS-style queue lock for the cross-shard paths of the parallel
-    engine.
-
-    Unlike the test-and-set "kernel flag" of the single-process paper
-    design, several OCaml domains contend for these locks at once, so we
-    want local spinning (each waiter spins on its own node, not a shared
-    flag) and FIFO handoff (strict arrival order, no starvation).  A
-    fresh node is allocated per acquire and returned as the release
-    token; the GC retires it, so there is no reclamation protocol.
-
-    Critical sections must be short and non-blocking: the holder runs on
-    a real domain and every queued waiter is burning a core.  Never
-    suspend a green thread or re-enter the scheduler while holding one. *)
+(** An alias over [Stdlib.Mutex], the lock that guards the shard inboxes
+    and handles.  Nothing in the library uses it; it exists only so the
+    benchmark ladder's [qlock.*] rows time the lock the shards take. *)
 
 type t
-(** The lock.  Safe to share freely across domains. *)
+type token  (** Release token from {!acquire}; pass it to {!release}. *)
 
-type node
-(** Release token minted by {!acquire}; pass it back to {!release}.
-    A token is single-use and must be released on the acquiring domain. *)
-
-val create : ?name:string -> unit -> t
-(** A fresh, unheld lock.  [name] shows up in stats and diagnostics. *)
-
-val name : t -> string
-
-val acquire : t -> node
-(** Block (spinning, with [Domain.cpu_relax]) until the lock is held.
-    Waiters acquire in strict FIFO arrival order. *)
-
-val release : t -> node -> unit
-(** Release, handing the lock to the oldest waiter if any.  [node] must
-    be the token from the matching {!acquire}. *)
+val create : unit -> t
+val acquire : t -> token
+val release : t -> token -> unit
 
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock t f] runs [f] holding [t]; releases on return or raise. *)
-
-val acquisition_count : t -> int
-(** Total acquires so far (uncontended included). *)
-
-val contended_count : t -> int
-(** Acquires that found a predecessor queued, i.e. had to spin. *)

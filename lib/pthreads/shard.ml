@@ -9,12 +9,16 @@ open Types
    kernel flag — pumped by one OCaml 5 domain.  Nothing inside an engine
    is ever touched by another domain.  The only cross-domain state is
 
-   - one qlock-guarded message inbox per shard (spawns homed there,
+   - one mutex-guarded message inbox per shard (spawns homed there,
      wakeups of threads parked there, fanned-out signal posts),
-   - the qlock carried by every cross-shard [handle],
+   - the mutex carried by every cross-shard [handle],
    - one pool mutex with a condition per shard, where idle domains park,
      and
    - a few atomic counters (in-flight tasks, steal statistics).
+
+   Every lock here is a host [Stdlib.Mutex], held for a queue push or
+   transfer, a field flip or a steal's pass over one inbox, and never
+   across a scheduler call.
 
    Each shard's main thread (tid 0) runs the {e service loop}: it drains
    the inbox, turns [Spawn] messages into ordinary green threads via
@@ -51,7 +55,7 @@ open Types
 (* ------------------------------------------------------------------ *)
 
 type handle = {
-  h_lock : Qlock.t;
+  h_lock : Stdlib.Mutex.t;
   mutable h_value : exit_status option;  (* guarded by h_lock *)
   mutable h_waiters : (int * int) list;
       (* (home shard, tid) of parked awaiters, newest first; guarded by
@@ -59,9 +63,9 @@ type handle = {
 }
 
 let make_handle () =
-  { h_lock = Qlock.create ~name:"shard:handle" (); h_value = None; h_waiters = [] }
+  { h_lock = Stdlib.Mutex.create (); h_value = None; h_waiters = [] }
 
-let poll h = Qlock.with_lock h.h_lock (fun () -> h.h_value)
+let poll h = Stdlib.Mutex.protect h.h_lock (fun () -> h.h_value)
 
 (* ------------------------------------------------------------------ *)
 (* Shards and the pool                                                 *)
@@ -82,7 +86,7 @@ type message =
 
 type shard = {
   s_index : int;
-  s_lock : Qlock.t;
+  s_lock : Stdlib.Mutex.t;
   s_inbox : message Queue.t;  (* guarded by s_lock *)
   s_msgs : int Atomic.t;  (* queued messages: lock-free emptiness probe *)
   s_spawns : int Atomic.t;  (* queued [Spawn]s: lock-free steal probe *)
@@ -135,7 +139,7 @@ let make_pool n =
       Array.init n (fun i ->
           {
             s_index = i;
-            s_lock = Qlock.create ~name:(Printf.sprintf "shard%d:inbox" i) ();
+            s_lock = Stdlib.Mutex.create ();
             s_inbox = Queue.create ();
             s_msgs = Atomic.make 0;
             s_spawns = Atomic.make 0;
@@ -167,7 +171,7 @@ let ring pool shard =
   end
 
 let push_msg pool shard msg =
-  Qlock.with_lock shard.s_lock (fun () ->
+  Stdlib.Mutex.protect shard.s_lock (fun () ->
       Queue.push msg shard.s_inbox;
       Atomic.incr shard.s_msgs;
       match msg with Spawn _ -> Atomic.incr shard.s_spawns | _ -> ());
@@ -188,7 +192,7 @@ let push_msg pool shard msg =
 (* Move the whole inbox into [batch] under one lock acquisition. *)
 let drain_inbox shard batch =
   if Atomic.get shard.s_msgs > 0 then
-    Qlock.with_lock shard.s_lock (fun () ->
+    Stdlib.Mutex.protect shard.s_lock (fun () ->
         Queue.transfer shard.s_inbox batch;
         Atomic.set shard.s_msgs 0;
         Atomic.set shard.s_spawns 0)
@@ -247,7 +251,7 @@ let wake_local proc tid =
 
 let fulfill proc h status =
   let waiters =
-    Qlock.with_lock h.h_lock (fun () ->
+    Stdlib.Mutex.protect h.h_lock (fun () ->
         h.h_value <- Some status;
         let ws = h.h_waiters in
         h.h_waiters <- [];
@@ -280,7 +284,7 @@ let await proc h =
       (* registration happens inside the kernel, so the service thread
          cannot process a [Wake] for us until after [block] below: the
          park/wake handshake cannot lose a wakeup *)
-      Qlock.with_lock h.h_lock (fun () ->
+      Stdlib.Mutex.protect h.h_lock (fun () ->
           match h.h_value with
           | Some _ as v -> v
           | None ->
@@ -311,24 +315,26 @@ let task_done pool =
     broadcast_stop pool
   end
 
+(* The green-thread body of a task: run [f], fulfil [h] with its outcome,
+   call [finish], then hand the non-normal outcomes back to the thread
+   machinery so the TCB records them exactly as for a plain thread. *)
+let task_body proc h f finish () =
+  let status =
+    try Exited (f proc) with Thread_exit_exn st -> st | e -> Failed e
+  in
+  fulfill proc h status;
+  finish ();
+  match status with
+  | Exited c -> c
+  | Canceled -> raise (Thread_exit_exn Canceled)
+  | Failed e -> raise e
+
 (* Turn a task into an ordinary green thread on [proc]'s engine. *)
 let start_task pool shard proc task =
   task.t_home <- shard.s_index;
   Atomic.incr shard.s_tasks;
-  let body () =
-    let status =
-      try Exited (task.t_run proc) with
-      | Thread_exit_exn st -> st
-      | e -> Failed e
-    in
-    fulfill proc task.t_handle status;
-    task_done pool;
-    (* hand the non-normal outcomes back to the thread machinery so the
-       TCB records them exactly as for a plain thread *)
-    match status with
-    | Exited c -> c
-    | Canceled -> raise (Thread_exit_exn Canceled)
-    | Failed e -> raise e
+  let body =
+    task_body proc task.t_handle task.t_run (fun () -> task_done pool)
   in
   ignore (Pthread.create proc ?attr:task.t_attr body : int)
 
@@ -339,19 +345,7 @@ let spawn ?attr ?home proc f =
       (* single-domain mode: degenerate to a local thread so programs
          written against [spawn]/[await] also run under [Pthreads.run]
          without [~domains] (and under the checker, which requires it) *)
-      let body () =
-        let status =
-          try Exited (f proc) with
-          | Thread_exit_exn st -> st
-          | e -> Failed e
-        in
-        fulfill proc h status;
-        match status with
-        | Exited c -> c
-        | Canceled -> raise (Thread_exit_exn Canceled)
-        | Failed e -> raise e
-      in
-      ignore (Pthread.create proc ?attr body : int)
+      ignore (Pthread.create proc ?attr (task_body proc h f ignore) : int)
   | Some (_, pool) ->
       if Atomic.get pool.p_finished then
         invalid_arg "Shard.spawn: the pool has already drained";
@@ -390,7 +384,7 @@ let stealable pool shard =
 let steal_from thief victim =
   if Atomic.get victim.s_spawns = 0 then []
   else
-    Qlock.with_lock victim.s_lock (fun () ->
+    Stdlib.Mutex.protect victim.s_lock (fun () ->
         let keep = Queue.create () and spawns = ref [] in
         while not (Queue.is_empty victim.s_inbox) do
           match Queue.pop victim.s_inbox with

@@ -3,11 +3,11 @@
     A pool of [N] shards is [N] complete single-threaded engines — each
     with its own ready structure, waiter queues, timing wheel, tid table
     and kernel flag — pumped by [N] OCaml 5 domains.  Engines are never
-    touched across domains; the only shared state is a {!Qlock}-guarded
-    message inbox per shard, the qlock inside every {!handle}, and a few
-    atomic counters.  Each shard's main thread runs a service loop that
-    turns incoming spawn messages into ordinary green threads and parks
-    when idle.
+    touched across domains; the only shared state is a mutex-guarded
+    message inbox per shard, the mutex inside every {!handle}, a pool
+    mutex where idle domains park, and a few atomic counters.  Each
+    shard's main thread runs a service loop that turns incoming spawn
+    messages into ordinary green threads and parks when idle.
 
     Threads are homed on a shard at {!spawn} (round-robin, an explicit
     [~home], or [Attr.with_home]) and migrate only by work stealing: an

@@ -11,5 +11,3 @@ let now_ns () =
   if ns < 0 then 0 else ns
 
 let now_s () = float_of_int (now_ns ()) /. 1e9
-
-let nap () = Unix.sleepf 1e-6

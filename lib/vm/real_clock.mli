@@ -11,10 +11,3 @@ val now_ns : unit -> int
 
 val now_s : unit -> float
 (** Seconds, same origin — for wall-clock budgets and rate reports. *)
-
-val nap : unit -> unit
-(** Yield the host CPU for the shortest interval the OS grants (a
-    microsecond-scale sleep).  Spin-wait backoff for multi-domain code:
-    on an oversubscribed host a pure spin burns the whole quantum the
-    lock holder needs to make progress.  Kept here so nothing outside
-    [lib/vm] touches [Unix]. *)

@@ -188,6 +188,13 @@ let net_ops t =
         t.cache_ok <- false;
         (try Unix.close fd with Unix.Unix_error _ -> ())
   in
+  (* A connected socket: non-blocking, and without Nagle's delay, so a
+     message written in pieces goes out at once. *)
+  let register_conn fd =
+    Unix.set_nonblock fd;
+    Unix.setsockopt fd Unix.TCP_NODELAY true;
+    register_fd t fd
+  in
   {
     Backend.net_listen =
       (fun ~port ~backlog ->
@@ -207,14 +214,11 @@ let net_ops t =
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
          with e -> (try Unix.close fd with _ -> ()); raise e);
-        Unix.set_nonblock fd;
-        register_fd t fd);
+        register_conn fd);
     net_accept =
       (fun h ->
         match Unix.accept (fd_of t h) with
-        | conn, _ ->
-            Unix.set_nonblock conn;
-            Some (register_fd t conn)
+        | conn, _ -> Some (register_conn conn)
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
             None);
     net_read =

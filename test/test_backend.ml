@@ -426,6 +426,47 @@ let test_unix_idle_signal_rings_doorbell () =
        (float_of_int latency /. 1e6))
     true (latency < 50_000_000)
 
+(* Unix backend: a message written in two pieces goes out whole.  With
+   Nagle's algorithm the second piece waits for the ACK of the first,
+   which the peer delays, so each of these round trips would take tens
+   of milliseconds; connected and accepted sockets set TCP_NODELAY. *)
+let test_unix_split_writes_not_delayed () =
+  let rounds = 20 and len = 64 in
+  let send proc conn buf =
+    Net.write_all proc conn buf ~pos:0 ~len:8;
+    Net.write_all proc conn buf ~pos:8 ~len:(len - 8)
+  in
+  let t0 = Vm.Real_clock.now_ns () in
+  let status, _ =
+    Pthreads.run ~backend:(Pthreads.unix_backend ()) (fun proc ->
+        let lst = Net.listen proc ~port:0 () in
+        let port = Net.port proc lst in
+        let server =
+          Pthread.create_unit proc (fun () ->
+              let conn = Net.accept proc lst in
+              let buf = Bytes.create len in
+              for _ = 1 to rounds do
+                read_exactly proc conn buf;
+                send proc conn buf
+              done;
+              Net.close proc conn)
+        in
+        let conn = Net.connect proc ~port in
+        let buf = Bytes.make len 'x' in
+        for _ = 1 to rounds do
+          send proc conn buf;
+          read_exactly proc conn buf
+        done;
+        Net.close proc conn;
+        ignore (Pthread.join proc server);
+        0)
+  in
+  let ms = float_of_int (Vm.Real_clock.now_ns () - t0) /. 1e6 in
+  check (Alcotest.option exit_status) "exit" (Some (Types.Exited 0)) status;
+  check bool
+    (Printf.sprintf "%d split round trips within 500 ms (%.1f ms)" rounds ms)
+    true (ms < 500.)
+
 let suite =
   [
     ( "backend",
@@ -440,5 +481,7 @@ let suite =
           tc "unix: host signal forwarding" test_unix_host_signal_forwarding;
           tc "unix: idle host signal rings the doorbell"
             test_unix_idle_signal_rings_doorbell;
+          tc "unix: split writes are not delayed (TCP_NODELAY)"
+            test_unix_split_writes_not_delayed;
         ] );
   ]

@@ -2,8 +2,8 @@
    bit-identical to the plain single-domain engine, and under real
    domains the pool must lose nothing — every task starts exactly once
    (stolen or not), every join and await completes, counters and sums
-   come out exact, and failures propagate to the caller.  Alongside
-   test_qlock this is the only suite that spawns host domains. *)
+   come out exact, and failures propagate to the caller.  This is the
+   only suite that spawns host domains. *)
 
 open Tu
 open Pthreads
@@ -494,6 +494,115 @@ let test_unix_await_woken_by_doorbell () =
   check (Alcotest.option exit_status) "awaited promptly" (Some (Types.Exited 0))
     status
 
+(* -------------------------------------------------------------- *)
+(* Contention on the cross-shard locks                             *)
+(* -------------------------------------------------------------- *)
+
+(* Every shard floods shard 0's inbox at once while the idle shards
+   steal from it, so pushes, drains, steals, fulfils and awaits all
+   meet on the same inbox and handle mutexes.  Each task runs exactly
+   once, and each await (almost always on another shard than the one
+   that ran the task) returns that task's own status. *)
+let test_inbox_contention () =
+  let domains = 4 and per = 64 in
+  let total = domains * per in
+  let runs = Array.init total (fun _ -> Atomic.make 0) in
+  let expected j = if j mod 7 = 3 then None else Some (j * 3) in
+  let spawner i proc =
+    let hs =
+      List.init per (fun k ->
+          let j = (i * per) + k in
+          ( j,
+            Shard.spawn proc ~home:0 (fun p ->
+                Atomic.incr runs.(j);
+                Pthread.yield p;
+                match expected j with
+                | Some v -> v
+                | None -> failwith "planned failure") ))
+    in
+    List.fold_left
+      (fun bad (j, h) ->
+        match (Shard.await proc h, expected j) with
+        | Types.Exited v, Some w when v = w -> bad
+        | Types.Failed _, None -> bad
+        | _ -> bad + 1)
+      0 hs
+  in
+  let o =
+    within ~seconds:60. (fun () ->
+        Shard.run_parallel ~domains (fun proc ->
+            List.init domains (fun i -> Shard.spawn proc ~home:i (spawner i))
+            |> List.fold_left
+                 (fun bad h ->
+                   match Shard.await proc h with
+                   | Types.Exited n -> bad + n
+                   | st ->
+                       Alcotest.failf "spawner: %a" Types.pp_exit_status st)
+                 0))
+  in
+  check exit_status "no await saw a wrong status" (Types.Exited 0)
+    o.Shard.status;
+  Array.iteri
+    (fun j r ->
+      if Atomic.get r <> 1 then
+        Alcotest.failf "task %d ran %d times" j (Atomic.get r))
+    runs;
+  check int "task ledger: every spawn plus the root" (total + domains + 1)
+    (Array.fold_left ( + ) 0 o.Shard.tasks)
+
+(* -------------------------------------------------------------- *)
+(* Qlock, the alias the benchmark ladder times                     *)
+(* -------------------------------------------------------------- *)
+
+(* [Pthreads.Qlock] is [Stdlib.Mutex] behind the token interface the
+   benchmark ladder uses; these pin that interface until the alias goes. *)
+module Qlock = Pthreads.Qlock
+
+let test_qlock_uncontended () =
+  let l = Qlock.create () in
+  Qlock.release l (Qlock.acquire l);
+  Qlock.release l (Qlock.acquire l)
+
+let test_qlock_with_lock_value () =
+  let l = Qlock.create () in
+  check int "returns body value" 41 (Qlock.with_lock l (fun () -> 41));
+  check int "reacquirable" 1 (Qlock.with_lock l (fun () -> 1))
+
+exception Boom
+
+let test_qlock_release_on_exception () =
+  let l = Qlock.create () in
+  (try Qlock.with_lock l (fun () -> raise Boom) with Boom -> ());
+  check int "freed on raise" 7 (Qlock.with_lock l (fun () -> 7))
+
+(* [workers] domains each run [per] critical sections on one plain
+   counter; odd sections dawdle inside the lock.  A mutual-exclusion
+   failure loses increments. *)
+let qlock_count ~workers ~per =
+  let l = Qlock.create () in
+  let counter = ref 0 in
+  List.init workers (fun i ->
+      Domain.spawn (fun () ->
+          for k = 1 to per do
+            Qlock.with_lock l (fun () ->
+                if (i + k) land 1 = 0 then
+                  for _ = 1 to 50 do
+                    ignore (Sys.opaque_identity !counter)
+                  done;
+                incr counter)
+          done))
+  |> List.iter Domain.join;
+  !counter
+
+let test_qlock_counter_exact () =
+  check int "no lost increments" 8_000 (qlock_count ~workers:4 ~per:2_000)
+
+let prop_qlock_random_sections =
+  qcheck ~count:10 ~seed_key:"parallel"
+    "qlock: random critical sections count exactly"
+    QCheck2.Gen.(pair (int_range 1 4) (int_range 50 500))
+    (fun (workers, per) -> qlock_count ~workers ~per = workers * per)
+
 let suite =
   [
     ( "parallel",
@@ -510,5 +619,15 @@ let suite =
         tc "cross-shard await cycle raises" test_cross_shard_deadlock_raises;
         tc "parked shard steals a burst" test_parked_shard_steals_burst;
         tc "unix await woken by the doorbell" test_unix_await_woken_by_doorbell;
+        tc "inbox contention: each task once, its own status"
+          test_inbox_contention;
+      ] );
+    ( "qlock",
+      [
+        tc "uncontended acquire/release" test_qlock_uncontended;
+        tc "with_lock returns and frees" test_qlock_with_lock_value;
+        tc "released on exception" test_qlock_release_on_exception;
+        tc "4 domains count exactly" test_qlock_counter_exact;
+        prop_qlock_random_sections;
       ] );
   ]

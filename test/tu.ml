@@ -75,7 +75,6 @@ let seeds =
     ("soak", 0x5EED_50AD);
     ("sample", 0x5EED_09C7);
     ("shrink", 0x5EED_5A1C);
-    ("qlock", 0x5EED_910C);
     ("parallel", 0x5EED_0A11);
   ]
 
