@@ -32,8 +32,8 @@ type params = {
 }
 
 (* The virtual backend simulates thousands of clients; the Unix backend
-   holds real fds (two per connection under select's FD_SETSIZE), so its
-   fleet is smaller and its wall clock is real. *)
+   holds real fds (two per connection), so its fleet is smaller and its
+   wall clock is real. *)
 let vm_params ~smoke =
   {
     clients = (if smoke then 200 else 2000);

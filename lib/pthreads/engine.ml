@@ -1187,7 +1187,7 @@ let run_scheduler eng =
             let engine_next = if next = max_int then None else Some next in
             (* the backend sleeps until the next event: the virtual one
                advances the clock to the deadline (deadlock when there is
-               none); the Unix one blocks in select and may wake on
+               none); the Unix one blocks in ppoll and may wake on
                external events even without a deadline; a [Machine]
                process yields to its machine *)
             if eng.backend.Backend.wait ~deadline_ns:engine_next then begin

@@ -20,12 +20,12 @@
     {!run_parallel} (or [Pthreads.run ~domains]).
 
     An idle shard never polls: its backend waits for the next deadline
-    (a virtual clock jump, or a unix [select]), and with none it parks
+    (a virtual clock jump, or a unix [ppoll]), and with none it parks
     its domain until another shard queues a message for it, which rings
     the backend's [wake] doorbell.  When every shard is parked with
     every inbox empty, the pool fails with [Process_stopped (Deadlock _)]
     as a single engine does.  A shard blocked in a unix backend's
-    [select] counts as live, since a host signal or an fd could still
+    [ppoll] counts as live, since a host signal or an fd could still
     wake it: there, as on a single unix engine, a cross-shard await
     cycle blocks.  Shard virtual clocks drift independently. *)
 

@@ -13,7 +13,7 @@
       backend required by [lib/check] (DPOR), [lib/sanitize] and
       [lib/fault].
     - the {b Unix} backend ([Vm.Real_kernel]) pumps real [Unix] events
-      into the same state machine: a [select] loop posts I/O completions
+      into the same state machine: a [ppoll] loop posts I/O completions
       via {!Unix_kernel.post_io_completion}, forwarded host signals post
       through {!Unix_kernel.post_signal}, and the clock is synchronized
       from the host's monotonic time.  Not deterministic; it serves real
@@ -25,7 +25,8 @@
       {!Unix_kernel.check_events}, to import external events;
     - {!t.wait} runs when every thread is blocked, to sleep until the next
       event.  The virtual closure advances the clock to the deadline; the
-      Unix closure blocks in [select].
+      Unix closure blocks in [ppoll] until the deadline, with the host
+      thread's timer slack zeroed so the wakeup is not deferred.
 
     A third entry, {!t.wake}, is for other domains: it ends a blocked
     [wait] (the multi-core shard layer rings it when it queues work for
@@ -33,7 +34,7 @@
 
 type kind =
   | Virtual  (** deterministic simulated kernel; virtual time *)
-  | Unix_loop  (** real [Unix] select loop; host monotonic time *)
+  | Unix_loop  (** real [ppoll] loop; host monotonic time *)
 
 (** Network operations a backend may provide (the Unix backend does; the
     virtual backend serves loopback traffic in-process, above this layer).

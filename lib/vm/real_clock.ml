@@ -1,13 +1,8 @@
-(* Anchor at the first reading so the int nanosecond values stay far from
-   overflow and line up with a fresh Clock.t reading zero-ish. *)
-let origin = ref None
+external monotonic_ns : unit -> int = "pthreads_monotonic_ns" [@@noalloc]
 
-let raw_ns () = Int64.to_int (Int64.mul (Int64.of_float (Unix.gettimeofday () *. 1e6)) 1000L)
+(* Bound once, when the module is initialised, so every domain reads from
+   the same origin and the int nanosecond values stay small. *)
+let origin = monotonic_ns ()
 
-let now_ns () =
-  let raw = raw_ns () in
-  let o = match !origin with Some o -> o | None -> origin := Some raw; raw in
-  let ns = raw - o in
-  if ns < 0 then 0 else ns
-
+let now_ns () = monotonic_ns () - origin
 let now_s () = float_of_int (now_ns ()) /. 1e9

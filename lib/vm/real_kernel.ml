@@ -5,11 +5,15 @@ type t = {
   fds : (int, Unix.file_descr) Hashtbl.t;
   mutable next_handle : int;
   mutable watches : watch list;
-  (* The fd sets handed to select, rebuilt only when [watches] changes:
-     the throttled pump polls every ~100 us and usually finds nothing, so
-     the steady-state poll must not re-walk hundreds of watches. *)
-  mutable cached_rd : Unix.file_descr list;
-  mutable cached_wr : Unix.file_descr list;
+  (* The poll set, rebuilt only when [watches] changes: the throttled
+     pump polls every ~100 us and usually finds nothing, so the
+     steady-state poll must not re-walk hundreds of watches.  Entry [i] of
+     [poll_fds]/[poll_dirs]/[poll_revents] is [poll_watches.(i)]; the
+     doorbell takes the one extra slot at the end. *)
+  mutable poll_watches : watch array;
+  mutable poll_fds : Unix.file_descr array;
+  mutable poll_dirs : int array;  (* 0 = readable, 1 = writable *)
+  mutable poll_revents : int array;
   mutable cache_ok : bool;
   forwarded : int list Atomic.t;
       (* simulated signos pushed by the host handlers, newest first; a
@@ -23,10 +27,10 @@ type t = {
   mutable closed : bool;
 }
 
-(* Polling real fds on every checkpoint would put a select(2) in every
+(* Polling real fds on every checkpoint would put a poll(2) in every
    library fast path; batching readiness at ~100 us matches the paper's
    SIGIO-doorbell granularity and keeps pump cost off the hot path.  The
-   idle path ([wait]) always selects immediately, so wakeups from a fully
+   idle path ([wait]) always polls immediately, so wakeups from a fully
    blocked process are not delayed by this.
 
    The 100 us throttle only applies while the fds are quiet.  While
@@ -65,7 +69,7 @@ let drain_forwarded t =
         (fun signo -> Unix_kernel.post_signal t.kernel signo ~origin:External ())
         (List.rev (Atomic.exchange t.forwarded []))
 
-(* The doorbell: a self-pipe whose read end is in every idle [select], so
+(* The doorbell: a self-pipe whose read end is in every idle poll, so
    an event that does not arrive on a watched fd — a ring from another
    domain, a forwarded host signal — still ends the wait.  [bell_users]
    lets [shutdown] wait out rings in flight before it closes the pipe: a
@@ -93,45 +97,57 @@ let drain_bell t =
     done
   with Unix.Unix_error _ -> ()
 
-(* Run select over the current watches (and, when idle, the doorbell) and
-   post a completion for each ready watch.  Watches are one-shot: a fired
-   watch is removed before its completion is recorded, exactly like the
-   simulated io_queue. *)
-let poll_watches t ~timeout ~bell =
-  if not t.cache_ok then begin
-    let live = List.filter (fun w -> Hashtbl.mem t.fds w.handle) t.watches in
-    t.watches <- live;
-    t.cached_rd <-
-      List.filter_map
-        (fun w -> if w.dir = `Read then Some (fd_of t w.handle) else None)
-        live;
-    t.cached_wr <-
-      List.filter_map
-        (fun w -> if w.dir = `Write then Some (fd_of t w.handle) else None)
-        live;
-    t.cache_ok <- true
-  end;
-  let rd = if bell then t.bell_rd :: t.cached_rd else t.cached_rd in
-  match Unix.select rd t.cached_wr [] timeout with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | [], [], _ -> t.hot <- false
-  | ready_rd, ready_wr, _ ->
-      if bell && List.memq t.bell_rd ready_rd then drain_bell t;
-      let is_ready w =
-        let fd = fd_of t w.handle in
-        match w.dir with
-        | `Read -> List.memq fd ready_rd
-        | `Write -> List.memq fd ready_wr
-      in
-      let fired, keep = List.partition is_ready t.watches in
-      t.hot <- fired <> [];
-      if fired <> [] then begin
-        t.watches <- keep;
-        t.cache_ok <- false;
-        List.iter
-          (fun w -> Unix_kernel.post_io_completion t.kernel ~requester:w.requester)
-          fired
-      end
+(* [ppoll fds dirs revents n timeout_ns] (real_stubs.c): wait at most
+   [timeout_ns] (-1 = no limit) for one of the first [n] fds, and return
+   the ready count, filling [revents] when it is not 0 (0 also when a
+   signal interrupted the wait).  A blocking call releases the runtime
+   lock and zeroes the host thread's timer slack, so it ends at the
+   deadline rather than ~50 us after. *)
+external ppoll :
+  Unix.file_descr array -> int array -> int array -> int -> int -> int
+  = "pthreads_ppoll"
+
+let rebuild_poll_set t =
+  let live = List.filter (fun w -> Hashtbl.mem t.fds w.handle) t.watches in
+  let ws = Array.of_list live in
+  let n = Array.length ws in
+  t.watches <- live;
+  t.poll_watches <- ws;
+  t.poll_fds <-
+    Array.init (n + 1) (fun i ->
+        if i < n then fd_of t ws.(i).handle else t.bell_rd);
+  t.poll_dirs <-
+    Array.init (n + 1) (fun i -> if i < n && ws.(i).dir = `Write then 1 else 0);
+  t.poll_revents <- Array.make (n + 1) 0;
+  t.cache_ok <- true
+
+(* Poll the current watches (and, when idle, the doorbell) and post a
+   completion for each ready watch.  Any readiness fires, hang-up and
+   error included: the reader then sees end of stream or the error.
+   Watches are one-shot: a fired watch is removed before its completion
+   is recorded, exactly like the simulated io_queue. *)
+let poll_watches t ~timeout_ns ~bell =
+  if not t.cache_ok then rebuild_poll_set t;
+  let ws = t.poll_watches and revents = t.poll_revents in
+  let n = Array.length ws in
+  let ready =
+    ppoll t.poll_fds t.poll_dirs revents (if bell then n + 1 else n) timeout_ns
+  in
+  let rang = bell && ready > 0 && revents.(n) <> 0 in
+  if rang then drain_bell t;
+  t.hot <- ready > Bool.to_int rang;
+  if t.hot then begin
+    let keep = ref [] in
+    for i = n - 1 downto 0 do
+      if revents.(i) = 0 then keep := ws.(i) :: !keep
+    done;
+    t.watches <- !keep;
+    t.cache_ok <- false;
+    for i = 0 to n - 1 do
+      if revents.(i) <> 0 then
+        Unix_kernel.post_io_completion t.kernel ~requester:ws.(i).requester
+    done
+  end
 
 let pump t () =
   if not t.closed then begin
@@ -143,7 +159,7 @@ let pump t () =
     in
     if t.watches <> [] && now - t.last_poll_ns >= interval then begin
       t.last_poll_ns <- now;
-      poll_watches t ~timeout:0. ~bell:false
+      poll_watches t ~timeout_ns:0 ~bell:false
     end
   end
 
@@ -163,16 +179,15 @@ let wait t ~deadline_ns =
       match deadline_ns with
       | None when not can_wake_externally -> false (* provable deadlock *)
       | _ ->
-          let timeout =
+          let timeout_ns =
             match deadline_ns with
-            | Some d when d <= now -> 0.
-            | Some d -> float_of_int (d - now) /. 1e9
-            | None -> -1. (* until an fd, a forwarded signal or a wake *)
+            | Some d -> max 0 (d - now)
+            | None -> -1 (* until an fd, a forwarded signal or a wake *)
           in
           (* a zero wait with nothing to watch needs no syscall; a ring
              still in the pipe ends the next blocking wait instead *)
-          if timeout <> 0. || t.watches <> [] then
-            poll_watches t ~timeout ~bell:true;
+          if timeout_ns <> 0 || t.watches <> [] then
+            poll_watches t ~timeout_ns ~bell:true;
           sync_clock t;
           drain_forwarded t;
           true
@@ -281,8 +296,10 @@ let create ?(profile = Cost_model.free) ?(forward_signals = default_forwards)
       fds = Hashtbl.create 16;
       next_handle = 1;
       watches = [];
-      cached_rd = [];
-      cached_wr = [];
+      poll_watches = [||];
+      poll_fds = [||];
+      poll_dirs = [||];
+      poll_revents = [||];
       cache_ok = false;
       forwarded = Atomic.make [];
       bell_rd;

@@ -2,16 +2,23 @@
     monotonic time — pumped into the same {!Unix_kernel} state machine the
     virtual backend uses.
 
-    - The kernel's {!Clock} is synchronized from {!Real_clock} at every
-      pump and wait, so timers armed on the shared timing wheel fire
-      against host monotonic time.
-    - A [select] loop posts fd readiness through
+    - The kernel's {!Clock} is synchronized from {!Real_clock}
+      ([CLOCK_MONOTONIC] nanoseconds) at every pump and wait, so timers
+      armed on the shared timing wheel fire against host monotonic time.
+    - A [ppoll(2)] loop posts fd readiness through
       {!Unix_kernel.post_io_completion} (one-shot watches), inheriting
       the BSD one-pending-slot SIGIO collapse of the virtual backend.
+      Any readiness fires a watch, hang-up and error included, so a
+      reader sees end of stream or the error.  There is no FD_SETSIZE
+      ceiling.
+    - An idle [wait] blocks until the next deadline with a nanosecond
+      timeout.  The first blocking wait on each host thread sets that
+      thread's timer slack to 1 ns (Linux), which otherwise defers every
+      timed wakeup by ~50 us.
     - Host signals listed in [forward_signals] are caught with
       [Sys.set_signal] and re-posted into the simulated process signal
       state as [origin External].
-    - A self-pipe doorbell sits in every idle [select]: [wake] (from any
+    - A self-pipe doorbell sits in every idle [ppoll]: [wake] (from any
       domain) and the forwarded-signal handlers write it, so an idle
       [wait] with no deadline blocks until an fd, a signal or a wake.
     - Sockets are nonblocking loopback TCP, exposed as the

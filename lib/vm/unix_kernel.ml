@@ -313,7 +313,7 @@ let check_events t =
       List.fold_left (fun acc io -> min acc io.complete_at) max_int waiting
   end
 
-(* An externally observed completion (the real backend's select loop) enters
+(* An externally observed completion (the real backend's poll loop) enters
    the same record-then-doorbell path as the simulated queue above, so both
    backends share the one-pending-slot collapse behaviour. *)
 let post_io_completion t ~requester =

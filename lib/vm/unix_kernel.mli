@@ -187,7 +187,7 @@ val blocking_io_ns : t -> int
 val post_io_completion : t -> requester:int -> unit
 (** Record an I/O completion for [requester] and post the SIGIO doorbell.
     This is the entry point real backends use to feed externally observed
-    readiness (a [select] loop) into the same completion state the
+    readiness (a [ppoll] loop) into the same completion state the
     simulated {!submit_io} queue uses — so both backends share the BSD
     one-pending-slot collapse behaviour documented on
     {!take_io_completion}. *)

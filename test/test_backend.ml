@@ -467,6 +467,106 @@ let test_unix_split_writes_not_delayed () =
     (Printf.sprintf "%d split round trips within 500 ms (%.1f ms)" rounds ms)
     true (ms < 500.)
 
+(* Unix backend: the host clock is CLOCK_MONOTONIC at nanosecond
+   resolution.  Successive reads never go back, and some steps are finer
+   than the microsecond a gettimeofday clock would tick in. *)
+let test_unix_clock_monotonic_ns () =
+  let prev = ref (Vm.Real_clock.now_ns ()) in
+  let backwards = ref 0 and sub_us = ref 0 in
+  for _ = 1 to 100_000 do
+    let now = Vm.Real_clock.now_ns () in
+    if now < !prev then incr backwards;
+    if (now - !prev) mod 1000 <> 0 then incr sub_us;
+    prev := now
+  done;
+  check int "no read went backwards" 0 !backwards;
+  check bool
+    (Printf.sprintf "steps finer than 1 us (%d of 10^5)" !sub_us)
+    true (!sub_us > 0)
+
+(* Unix backend: fds past FD_SETSIZE (1024) are served.  With 1100
+   placeholders open, every socket of the echo lands above the ceiling,
+   where select(2) fails with EINVAL.  Forty clients keep more than 64
+   watches in the poll set at once. *)
+let test_unix_beyond_fd_setsize () =
+  let placeholders =
+    List.init 1100 (fun _ -> Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0)
+  in
+  let ok =
+    Fun.protect
+      ~finally:(fun () -> List.iter Unix.close placeholders)
+      (fun () ->
+        echo_roundtrips (Pthreads.unix_backend ()) ~n_clients:40 ~msgs:2)
+  in
+  check int "every echo verified above fd 1024" 80 ok
+
+(* Unix backend: a timed wait ends at its deadline.  Linux's default
+   50 us timer slack stretched every idle wait; the backend zeroes it, so
+   the median overshoot of a 200 us delay stays well under that.  The
+   median, not the max, so a loaded host cannot make this flaky. *)
+let test_unix_delay_precision () =
+  let n = 200 and ns = 200_000 in
+  let over = Array.make n 0 in
+  let status, _ =
+    Pthreads.run ~backend:(Pthreads.unix_backend ()) (fun proc ->
+        for i = 0 to n - 1 do
+          let t0 = Vm.Real_clock.now_ns () in
+          Pthread.delay proc ~ns;
+          over.(i) <- Vm.Real_clock.now_ns () - t0 - ns
+        done;
+        0)
+  in
+  check (Alcotest.option exit_status) "exit" (Some (Types.Exited 0)) status;
+  Array.sort compare over;
+  let median = over.(n / 2) in
+  check bool "never early" true (over.(0) >= 0);
+  check bool
+    (Printf.sprintf "median overshoot of a 200 us delay < 30 us (%.1f us)"
+       (float_of_int median /. 1e3))
+    true (median < 30_000)
+
+(* Unix backend: a client that resets mid-request.  A raw socket sends
+   half a message, sets SO_LINGER 0 and closes, so the peer gets an RST.
+   The server thread blocked in [Net.read] sees end of stream (ECONNRESET
+   maps to 0), and the run exits cleanly. *)
+let test_unix_client_reset_mid_request () =
+  let half = 8 in
+  let status, got =
+    within ~seconds:10. (fun () ->
+        let got = ref (-1) in
+        let status, _ =
+          Pthreads.run ~backend:(Pthreads.unix_backend ()) (fun proc ->
+              let lst = Net.listen proc ~port:0 () in
+              let port = Net.port proc lst in
+              let client =
+                Domain.spawn (fun () ->
+                    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+                    Unix.connect fd
+                      (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+                    ignore (Unix.write fd (Bytes.make half 'x') 0 half : int);
+                    Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+                    Unix.close fd)
+              in
+              let conn = Net.accept proc lst in
+              let buf = Bytes.create (2 * half) in
+              let rec drain total =
+                let n = Net.read proc conn buf ~pos:0 ~len:(Bytes.length buf) in
+                if n = 0 then total else drain (total + n)
+              in
+              got := drain 0;
+              Net.close proc conn;
+              Net.close_listener proc lst;
+              Domain.join client;
+              0)
+        in
+        (status, !got))
+  in
+  check (Alcotest.option exit_status) "exit" (Some (Types.Exited 0)) status;
+  check bool
+    (Printf.sprintf "end of stream after at most half a message (%d bytes)" got)
+    true
+    (got >= 0 && got <= half)
+
 let suite =
   [
     ( "backend",
@@ -483,5 +583,13 @@ let suite =
             test_unix_idle_signal_rings_doorbell;
           tc "unix: split writes are not delayed (TCP_NODELAY)"
             test_unix_split_writes_not_delayed;
+          tc "unix: host clock is monotonic with ns resolution"
+            test_unix_clock_monotonic_ns;
+          tc "unix: fds beyond FD_SETSIZE are served"
+            test_unix_beyond_fd_setsize;
+          tc "unix: delay median overshoot under 30 us"
+            test_unix_delay_precision;
+          tc "unix: client reset mid-request reads as end of stream"
+            test_unix_client_reset_mid_request;
         ] );
   ]

@@ -99,4 +99,17 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# 8. One host wait and one host clock.  The unix backend waits in the
+#    ppoll stub (nanosecond timeout, zeroed timer slack, no FD_SETSIZE
+#    ceiling) and reads time from the CLOCK_MONOTONIC stub behind
+#    Vm.Real_clock; select(2) and the steppable microsecond wall clock
+#    must not creep back into the library.
+hits=$(grep -rnE --include='*.ml' --include='*.mli' \
+  'Unix\.(select|gettimeofday)' lib/)
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: Unix.select/Unix.gettimeofday in lib/ — wait in Real_kernel's ppoll and read Vm.Real_clock" >&2
+  fail=1
+fi
+
 exit $fail
