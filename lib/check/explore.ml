@@ -21,6 +21,20 @@ let failure_kind_to_string = function
   | Main_raised m -> "main raised: " ^ m
   | Bad_exit n -> Printf.sprintf "main exited with status %d" n
 
+let verdict ?(fail_on_nonzero_exit = true) eng =
+  match Invariant.check_final eng with
+  | Some v -> Some (Invariant_violated v)
+  | None -> (
+      match Pthread.main_status eng with
+      | Some (Failed e) -> Some (Main_raised (Printexc.to_string e))
+      | Some (Exited n) when n <> 0 && fail_on_nonzero_exit ->
+          Some (Bad_exit n)
+      | Some (Exited _ | Canceled) | None -> None)
+
+let of_stop_reason = function
+  | Deadlock m -> Deadlocked m
+  | Killed_by_signal s -> Killed s
+
 type failure = {
   kind : failure_kind;
   schedule : Schedule.t;
@@ -120,9 +134,6 @@ let default_pick ctx =
       | Some p when List.mem p awake -> p
       | _ -> List.fold_left min first rest)
 
-let main_status eng =
-  match Engine.find_thread eng 0 with Some t -> t.retval | None -> None
-
 let exec ~(mk : unit -> engine) ~(cfg : config) ~(pick : pick_ctx -> int) () =
   let eng = mk () in
   let steps = ref [] in
@@ -181,22 +192,16 @@ let exec ~(mk : unit -> engine) ~(cfg : config) ~(pick : pick_ctx -> int) () =
     (match !steps with
     | s :: _ -> s.st_foot <- s.st_foot @ foot
     | [] -> ());
-    match Invariant.check_final eng with
-    | Some v -> Failed_run (Invariant_violated v)
-    | None -> (
-        match main_status eng with
-        | Some (Failed e) -> Failed_run (Main_raised (Printexc.to_string e))
-        | Some (Exited n) when n <> 0 && cfg.fail_on_nonzero_exit ->
-            Failed_run (Bad_exit n)
-        | Some (Exited _ | Canceled) | None -> Completed)
+    match verdict ~fail_on_nonzero_exit:cfg.fail_on_nonzero_exit eng with
+    | Some kind -> Failed_run kind
+    | None -> Completed
   in
   let outcome =
     try
       Pthread.start eng;
       finish ()
     with
-    | Process_stopped (Deadlock msg) -> Failed_run (Deadlocked msg)
-    | Process_stopped (Killed_by_signal s) -> Failed_run (Killed s)
+    | Process_stopped r -> Failed_run (of_stop_reason r)
     | Abort_run kind -> Failed_run kind
     | Prune_run -> Pruned
     | Too_deep -> Cut

@@ -27,6 +27,16 @@ type failure_kind =
 
 val failure_kind_to_string : failure_kind -> string
 
+val verdict :
+  ?fail_on_nonzero_exit:bool -> Pthreads.Types.engine -> failure_kind option
+(** How a run that finished ends: {!Invariant.check_final} first, then
+    main's exit status — [Main_raised] for an uncaught exception,
+    [Bad_exit] for a nonzero status (when [fail_on_nonzero_exit], the
+    default).  [None] for a clean run. *)
+
+val of_stop_reason : Pthreads.Types.stop_reason -> failure_kind
+(** A run that raised [Types.Process_stopped]: [Deadlocked] or [Killed]. *)
+
 type failure = {
   kind : failure_kind;
   schedule : Schedule.t;  (** minimal shrunk counterexample *)

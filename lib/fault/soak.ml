@@ -40,9 +40,6 @@ type report = {
   r_failures : failure list;
 }
 
-let main_status eng =
-  match Engine.find_thread eng 0 with Some t -> t.Types.retval | None -> None
-
 let run_full ?(check_invariants = true) ?(sanitize = true) ~mk (plan : Plan.t) =
   let eng = mk () in
   (* The first invariant violation wins regardless of how the run ends:
@@ -61,16 +58,8 @@ let run_full ?(check_invariants = true) ?(sanitize = true) ~mk (plan : Plan.t) =
   let outcome =
     try
       Pthread.start eng;
-      match Check.Invariant.check_final eng with
-      | Some v -> Some (E.Invariant_violated v)
-      | None -> (
-          match main_status eng with
-          | Some (Types.Failed e) -> Some (E.Main_raised (Printexc.to_string e))
-          | Some (Types.Exited n) when n <> 0 -> Some (E.Bad_exit n)
-          | Some (Types.Exited _ | Types.Canceled) | None -> None)
-    with
-    | Types.Process_stopped (Types.Deadlock m) -> Some (E.Deadlocked m)
-    | Types.Process_stopped (Types.Killed_by_signal s) -> Some (E.Killed s)
+      E.verdict eng
+    with Types.Process_stopped r -> Some (E.of_stop_reason r)
   in
   let outcome =
     match !violation with

@@ -51,7 +51,7 @@ let percentile h p =
       if not !found then begin
         acc := !acc + h.counts.(b);
         if float_of_int !acc >= target && h.counts.(b) > 0 then begin
-          result := snd (bounds b);
+          result := min (snd (bounds b)) h.max_v;
           found := true
         end
       end

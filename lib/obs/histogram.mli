@@ -30,8 +30,9 @@ val mean : t -> float
 
 val percentile : t -> float -> int
 (** [percentile h p] for [p] in [0, 100]: the upper bound of the first
-    bucket at which the cumulative count reaches [p] percent — an upper
-    estimate with bucket resolution.  0 when empty. *)
+    bucket at which the cumulative count reaches [p] percent, clamped to
+    {!max_value} — an upper estimate with bucket resolution that never
+    exceeds the largest sample.  0 when empty. *)
 
 val buckets : t -> (int * int * int) list
 (** Non-empty buckets as [(lo, hi, count)], ascending; samples fall in

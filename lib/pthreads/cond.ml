@@ -1,4 +1,4 @@
-open Import
+open Vm
 open Types
 
 type wait_result = Signaled | Interrupted | Timed_out

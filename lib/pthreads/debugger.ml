@@ -1,4 +1,4 @@
-open Import
+open Vm
 open Types
 
 type thread_info = {

@@ -7,7 +7,7 @@
     in a process, and a context-switch notification stream with an optional
     single-step gate. *)
 
-open Import
+open Vm
 open Types
 
 (** A snapshot of one thread's control block. *)

@@ -1,4 +1,4 @@
-open Import
+open Vm
 open Types
 
 (* ------------------------------------------------------------------ *)
@@ -307,15 +307,16 @@ let rec set_effective_prio eng t new_prio ~at_head =
     touch eng (key_thread t.tid);
     match t.state with
     | Ready ->
-        Ready_queue.remove eng t;
+        Wait_queue.remove eng.ready t;
         t.prio <- new_prio;
-        if at_head then Ready_queue.push_head eng t
-        else Ready_queue.push_tail eng t;
+        if at_head then Wait_queue.push_head eng.ready t
+        else Wait_queue.push_tail eng.ready t;
         if new_prio > eng.current.prio && eng.current.state = Running then
           eng.dispatcher_flag <- true
     | Running ->
         t.prio <- new_prio;
-        if Ready_queue.highest_prio eng > new_prio then eng.dispatcher_flag <- true
+        if Wait_queue.highest_prio eng.ready > new_prio then
+          eng.dispatcher_flag <- true
     | Blocked (On_mutex m) -> (
         let old_prio = t.prio in
         t.prio <- new_prio;
@@ -483,7 +484,7 @@ let unblock_core eng t wake =
       end
       else begin
         t.state <- Ready;
-        Ready_queue.push_tail eng t;
+        Wait_queue.push_tail eng.ready t;
         trace eng t Trace.Ready;
         true
       end
@@ -609,7 +610,7 @@ and act_on eng t s code origin =
              have absorbed a timed-wait wakeup (one pending slot per
              signal), so it too is a demultiplexing point. *)
           t.state <- Ready;
-          Ready_queue.push_tail eng t;
+          Wait_queue.push_tail eng.ready t;
           trace eng t Trace.Ready;
           eng.dispatcher_flag <- true;
           wake_expired_sleepers eng
@@ -813,10 +814,10 @@ let rec dispatch eng : wake =
     let stay =
       match cur.state with
       | Running ->
-          if Ready_queue.highest_prio eng > cur.prio then begin
+          if Wait_queue.highest_prio eng.ready > cur.prio then begin
             (* preempted: the thread goes to the head of its level *)
             cur.state <- Ready;
-            Ready_queue.push_head eng cur;
+            Wait_queue.push_head eng.ready cur;
             trace eng cur Trace.Ready;
             false
           end
@@ -868,7 +869,7 @@ let apply_perversion eng =
          pick in the scheduler loop decides who runs next (the bucket it
          parks in is irrelevant: the pick ignores priority) *)
       cur.state <- Ready;
-      Ready_queue.push_tail_lowest eng cur;
+      Wait_queue.push_tail_at eng.ready cur min_prio;
       trace eng cur Trace.Ready;
       eng.dispatcher_flag <- true
     end
@@ -877,13 +878,13 @@ let apply_perversion eng =
       | No_perversion | Mutex_switch -> ()
       | Rr_ordered_switch ->
           cur.state <- Ready;
-          Ready_queue.push_tail_lowest eng cur;
+          Wait_queue.push_tail_at eng.ready cur min_prio;
           trace eng cur Trace.Ready;
           eng.dispatcher_flag <- true
       | Random_switch ->
           if Rng.bool eng.rng then begin
             cur.state <- Ready;
-            Ready_queue.push_tail_lowest eng cur;
+            Wait_queue.push_tail_at eng.ready cur min_prio;
             trace eng cur Trace.Ready;
             eng.pick_random_next <- true;
             eng.dispatcher_flag <- true
@@ -902,7 +903,7 @@ let force_switch eng =
   let cur = eng.current in
   if cur.state = Running && eng.live_count > 1 then begin
     cur.state <- Ready;
-    Ready_queue.push_tail eng cur;
+    Wait_queue.push_tail eng.ready cur;
     trace eng cur Trace.Ready;
     eng.dispatcher_flag <- true
   end
@@ -969,7 +970,7 @@ let yield eng =
   enter_kernel eng;
   let cur = eng.current in
   cur.state <- Ready;
-  Ready_queue.push_tail eng cur;
+  Wait_queue.push_tail eng.ready cur;
   trace eng cur Trace.Ready;
   eng.dispatcher_flag <- true;
   ignore (dispatch eng : wake);
@@ -1006,7 +1007,7 @@ let register_thread eng t =
   match t.state with
   | Ready ->
       Heap.acquire_slab eng.heap;
-      Ready_queue.push_tail eng t;
+      Wait_queue.push_tail eng.ready t;
       trace eng t Trace.Ready;
       if t.prio > eng.current.prio && eng.current.state = Running then
         eng.dispatcher_flag <- true
@@ -1153,7 +1154,7 @@ let run_scheduler eng =
               | [] -> nil_tcb
               | cs ->
                   let t = choose cs in
-                  Ready_queue.remove eng t;
+                  Wait_queue.remove eng.ready t;
                   if tracing eng then
                     trace eng t
                       (Trace.Sched_decision
@@ -1162,13 +1163,13 @@ let run_scheduler eng =
           | None ->
               if eng.pick_random_next then begin
                 eng.pick_random_next <- false;
-                match Ready_queue.pop_random eng eng.rng with
+                match Wait_queue.pop_random eng.ready eng.rng with
                 | Some t -> t
                 | None -> nil_tcb
               end
               else begin
                 let t = Wait_queue.peek_highest eng.ready in
-                if t != nil_tcb then Ready_queue.remove eng t;
+                if t != nil_tcb then Wait_queue.remove eng.ready t;
                 t
               end
         in
@@ -1245,7 +1246,7 @@ let inject_preempt eng =
     note_fault eng;
     trace eng cur (Trace.Note "fault: forced preemption");
     cur.state <- Ready;
-    Ready_queue.push_tail_lowest eng cur;
+    Wait_queue.push_tail_at eng.ready cur min_prio;
     trace eng cur Trace.Ready;
     eng.dispatcher_flag <- true
   end
@@ -1385,7 +1386,7 @@ let make ?clock ?backend cfg ~main =
           : Unix_kernel.timer));
   Heap.acquire_slab heap;
   thread_table_add eng main_tcb;
-  Ready_queue.push_tail eng main_tcb;
+  Wait_queue.push_tail eng.ready main_tcb;
   trace eng main_tcb Trace.Ready;
   eng
 

@@ -1,4 +1,4 @@
-open Import
+open Vm
 open Types
 
 type buf = { jb_id : int; mutable jb_valid : bool; jb_mask : Sigset.t }

@@ -1,4 +1,4 @@
-open Import
+open Vm
 open Types
 
 type proc_result = Completed of exit_status option | Stopped of stop_reason
@@ -82,13 +82,7 @@ let step p =
       Effect.Deep.match_with
         (fun () ->
           match p.mp_body () with
-          | () ->
-              let status =
-                match Engine.find_thread p.mp_eng 0 with
-                | Some t -> t.retval
-                | None -> None
-              in
-              finish p (Completed status)
+          | () -> finish p (Completed (Pthread.main_status p.mp_eng))
           | exception Process_stopped r -> finish p (Stopped r))
         ()
         {

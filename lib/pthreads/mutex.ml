@@ -1,4 +1,4 @@
-open Import
+open Vm
 open Types
 
 let create eng ?name ?(protocol = No_protocol) ?ceiling () =

@@ -1,4 +1,4 @@
-open Import
+open Vm
 open Types
 
 type proc = engine
@@ -48,19 +48,21 @@ let make_proc ?clock ?backend ?profile ?policy ?perverted ?seed ?use_pool
 
 let start eng = Engine.run_scheduler eng
 
-let run ?profile ?policy ?perverted ?seed ?use_pool ?trace ?main_prio
+let main_status eng =
+  match Engine.find_thread eng 0 with Some t -> t.retval | None -> None
+
+let run ?backend ?profile ?policy ?perverted ?seed ?use_pool ?trace ?main_prio
     ?ceiling_mode f =
-  let eng =
-    make_proc ?profile ?policy ?perverted ?seed ?use_pool ?trace ?main_prio
-      ?ceiling_mode f
+  let finish () =
+    match backend with Some b -> b.Backend.shutdown () | None -> ()
   in
-  start eng;
-  let main_status =
-    match Engine.find_thread eng 0 with
-    | Some t -> t.retval
-    | None -> None
-  in
-  (main_status, Engine.stats eng)
+  Fun.protect ~finally:finish (fun () ->
+      let eng =
+        make_proc ?backend ?profile ?policy ?perverted ?seed ?use_pool ?trace
+          ?main_prio ?ceiling_mode f
+      in
+      start eng;
+      (main_status eng, Engine.stats eng))
 
 (* ------------------------------------------------------------------ *)
 (* Thread management                                                   *)
@@ -174,7 +176,7 @@ let suspend eng tid =
       else begin
         (match t.state with
         | Ready ->
-            Ready_queue.remove eng t;
+            Wait_queue.remove eng.ready t;
             t.state <- Blocked On_suspend
         | Running | Blocked _ | Terminated ->
             (* a blocked thread parks when its wait completes *)

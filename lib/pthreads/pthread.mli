@@ -37,6 +37,7 @@ type t = int
 (** {1 Running a simulated process} *)
 
 val run :
+  ?backend:Vm.Backend.t ->
   ?profile:Vm.Cost_model.profile ->
   ?policy:policy ->
   ?perverted:perverted ->
@@ -49,7 +50,8 @@ val run :
   exit_status option * Engine.stats
 (** Run a simulated process whose main thread executes the given function.
     Returns main's exit status ([None] if another thread joined-and-reaped
-    main) and the statistics.
+    main) and the statistics.  [backend] is as for {!make_proc}; a given
+    backend is shut down when the run ends, also on an exception.
     @raise Types.Process_stopped on deadlock or a fatal signal. *)
 
 val make_proc :
@@ -73,6 +75,10 @@ val make_proc :
 
 val start : proc -> unit
 (** Run a process built with {!make_proc} to completion. *)
+
+val main_status : proc -> exit_status option
+(** The main thread's (tid 0) exit status after a run; [None] if it has
+    not terminated or another thread joined-and-reaped it. *)
 
 (** {1 Thread management} *)
 

@@ -1,12 +1,12 @@
-(* The curated library facade (the library's main module): everything user
-   code needs, re-exported in one place, plus [run ~backend] which owns
-   engine setup and backend teardown.  Internal kernel modules are still
-   re-exported for the checker/fault/sanitizer infrastructure but carry
-   [@@deprecated] so application code is steered to the facade; see the
-   aliases at the bottom. *)
+(* The library facade (the library's main module): everything user code
+   needs, re-exported in one place, plus [run ~backend] which owns engine
+   setup and backend teardown.  The kernel modules ([Engine], [Tcb],
+   [Wait_queue]) are re-exported as they are: the semaphore, libc_r and
+   tasking layers, the checker, fault injector and sanitizer all sit on
+   the kernel by design, as the paper's language layers do. *)
 
 (* ------------------------------------------------------------------ *)
-(* The blessed API                                                     *)
+(* The API                                                             *)
 (* ------------------------------------------------------------------ *)
 
 module Types = Types
@@ -28,7 +28,6 @@ module Qlock = Qlock
 module Flat = Flat
 module Debugger = Debugger
 module Validate = Validate
-module Import = Import
 module Costs = Costs
 
 type proc = Types.engine
@@ -77,31 +76,13 @@ let dispatch_count = Engine.dispatch_count
 (* The entry point                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_single ?backend ?profile ?policy ?perverted ?seed ?use_pool ?trace
-    ?main_prio ?ceiling_mode f =
-  let eng =
-    Pthread.make_proc ?backend ?profile ?policy ?perverted ?seed ?use_pool
-      ?trace ?main_prio ?ceiling_mode f
-  in
-  let finish () =
-    match backend with Some b -> b.Vm.Backend.shutdown () | None -> ()
-  in
-  Fun.protect ~finally:finish (fun () ->
-      Pthread.start eng;
-      let main_status =
-        match Engine.find_thread eng 0 with
-        | Some t -> t.Types.retval
-        | None -> None
-      in
-      (main_status, Engine.stats eng))
-
 let run ?backend ?backend_for ?domains ?profile ?policy ?perverted ?seed
     ?use_pool ?trace ?main_prio ?ceiling_mode f =
   match domains with
   | None | Some 1 ->
       (* the default: the deterministic single-domain engine, bit-identical
          with and without [~domains:1] *)
-      run_single ?backend ?profile ?policy ?perverted ?seed ?use_pool ?trace
+      Pthread.run ?backend ?profile ?policy ?perverted ?seed ?use_pool ?trace
         ?main_prio ?ceiling_mode f
   | Some n when n >= 2 ->
       (match backend with
@@ -125,22 +106,9 @@ let run ?backend ?backend_for ?domains ?profile ?policy ?perverted ?seed
       invalid_arg ("Pthreads.run: domains must be >= 1, got " ^ string_of_int n)
 
 (* ------------------------------------------------------------------ *)
-(* Deprecated internal aliases (kernel infrastructure).  The checker,  *)
-(* fault and sanitizer layers opt out per component with               *)
-(* [-alert -deprecated] in their dune stanzas.                         *)
+(* Kernel modules                                                      *)
 (* ------------------------------------------------------------------ *)
 
 module Engine = Engine
-[@@deprecated
-  "Pthreads.Engine is the kernel-internal interface. Application code \
-   should use Pthreads.run / Pthreads.stats / Pthread; infrastructure \
-   (checkers, benchmarks) can silence this with -alert -deprecated."]
-
 module Tcb = Tcb
-[@@deprecated "kernel-internal thread control blocks; use Pthread."]
-
 module Wait_queue = Wait_queue
-[@@deprecated "kernel-internal waiter queues; use Mutex/Cond."]
-
-module Ready_queue = Ready_queue
-[@@deprecated "kernel-internal dispatcher structure; use Pthread."]

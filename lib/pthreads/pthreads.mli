@@ -16,11 +16,12 @@
     checker, sanitizer and fault layers) and the real Unix event loop
     ({!unix_backend} — real sockets, host signals, host time).
 
-    The kernel-internal modules ([Engine], [Tcb], [Wait_queue],
-    [Ready_queue]) are still re-exported for the checker/fault/sanitizer
-    infrastructure but are deprecated for application use. *)
+    The kernel modules ({!Engine}, {!Tcb}, {!Wait_queue}) are re-exported
+    too: the layers the paper stacks on the library kernel (semaphores,
+    thread-safe libc, the Ada tasking run-time) and the checker, fault
+    injector and sanitizer call them directly. *)
 
-(** {1 The blessed API} *)
+(** {1 The API} *)
 
 module Types = Types
 module Errno = Errno
@@ -41,7 +42,6 @@ module Qlock = Qlock
 module Flat = Flat
 module Debugger = Debugger
 module Validate = Validate
-module Import = Import
 module Costs = Costs
 
 type proc = Types.engine
@@ -124,23 +124,13 @@ val run :
     engine, bit-identical either way.
     @raise Types.Process_stopped on deadlock or a fatal signal. *)
 
-(** {1 Deprecated kernel-internal modules}
+(** {1 Kernel modules}
 
-    Re-exported for the model checker, fault injector, sanitizer and
-    benchmarks, which reach into the kernel by design (those components
-    silence the alert with [-alert -deprecated] in their dune stanzas). *)
+    The library kernel under the API above: the engine (dispatcher,
+    kernel flag, timers, signals), thread control blocks and the
+    priority-bucketed queues that hold both the ready threads
+    ([engine.ready]) and every waiter. *)
 
 module Engine = Engine
-[@@deprecated
-  "Pthreads.Engine is the kernel-internal interface. Application code \
-   should use Pthreads.run / Pthreads.stats / Pthread; infrastructure \
-   (checkers, benchmarks) can silence this with -alert -deprecated."]
-
 module Tcb = Tcb
-[@@deprecated "kernel-internal thread control blocks; use Pthread."]
-
 module Wait_queue = Wait_queue
-[@@deprecated "kernel-internal waiter queues; use Mutex/Cond."]
-
-module Ready_queue = Ready_queue
-[@@deprecated "kernel-internal dispatcher structure; use Pthread."]

@@ -1,4 +1,4 @@
-open Import
+open Vm
 open Types
 
 (* Per-domain scheduler shards.
@@ -458,7 +458,7 @@ let service pool shard proc =
          (the running service thread is never queued), run it rather than
          import more work *)
       (match
-         if Ready_queue.size proc > 0 then [] else try_steal pool shard
+         if Wait_queue.size proc.ready > 0 then [] else try_steal pool shard
        with
       | [] -> park pool proc shard
       | stolen -> List.iter (start_task pool shard proc) stolen);

@@ -17,7 +17,7 @@
     [Jmp.longjmp] to redirect control — the implementation-defined feature
     the paper's Ada runtime relies on. *)
 
-open Import
+open Vm
 open Types
 
 val set_action : engine -> signo -> action -> unit

@@ -1,4 +1,4 @@
-open Import
+open Vm
 open Types
 
 let make ~tid ~name ~prio ~detached ~body ~deferred =

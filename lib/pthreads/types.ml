@@ -11,7 +11,7 @@
     effect {!Suspend} transfers control from a thread to the scheduler
     loop. *)
 
-open Import
+open Vm
 
 type signo = Sigset.signo
 
@@ -157,7 +157,7 @@ and tcb = {
     dispatcher's ready structure and for every waiter queue (mutex, cond,
     join), giving O(1) push/pop/remove and O(1) highest-priority lookup
     (highest-set-bit over [n_prios] bits).  Operations live in
-    [Wait_queue]; [Ready_queue] wraps the engine's instance. *)
+    [Wait_queue]; the dispatcher calls them on [engine.ready]. *)
 and pq = {
   mutable pq_levels : pq_level array;
       (** length [n_prios], index = priority; lazily allocated — [[||]]

@@ -1,4 +1,4 @@
-open Import
+open Vm
 open Types
 
 type violation = { at_ns : int; rule : string; detail : string }
@@ -27,7 +27,7 @@ let check_dispatch mon t =
     report mon "state" (t.tname ^ " dispatched while " ^ state_name t.state);
   if eng.kernel_flag then
     report mon "monitor" "kernel flag held across a context switch";
-  (match (eng.cfg.perverted, Ready_queue.highest_prio eng) with
+  (match (eng.cfg.perverted, Wait_queue.highest_prio eng.ready) with
   | No_perversion, p when p > t.prio && not (Engine.exploring eng) ->
       (* the explorer deliberately dispatches out of priority order *)
       report mon "priority"

@@ -1,6 +1,6 @@
 (** Priority-bucketed FIFO queues of threads, shared by the dispatcher's
-    ready structure and every waiter queue (mutex, condition variable,
-    join).
+    ready structure ([engine.ready]) and every waiter queue (mutex,
+    condition variable, join).
 
     One intrusive doubly-linked deque per priority level plus a bitmap of
     non-empty levels: push, pop, remove and highest-priority lookup are all
@@ -40,6 +40,11 @@ val peek_highest : pq -> tcb
 (** The head of the highest non-empty bucket, left queued; [nil_tcb] when
     the queue is empty (a sentinel, not an option: the dispatcher and the
     wake paths ask on every switch). *)
+
+val pop_random : pq -> Vm.Rng.t -> tcb option
+(** Dequeue a uniformly random member (the perverted random policy's
+    switch on [engine.ready]); [None] when empty.  Counts members in
+    {!iter} order, so a seed always picks the same thread. *)
 
 val highest_prio : pq -> int
 (** Bucket index of the best queued thread; -1 when the queue is empty. *)

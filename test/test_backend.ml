@@ -567,6 +567,47 @@ let test_unix_client_reset_mid_request () =
     true
     (got >= 0 && got <= half)
 
+(* [Pthreads.run ~backend] owns the backend: it is shut down exactly once
+   however the run ends — main returns, the process deadlocks
+   ([Process_stopped] still reaches the caller), or main raises (its
+   exception becomes main's [Failed] status). *)
+let test_run_shuts_backend_down_once () =
+  let run_counted main =
+    let b = Pthreads.vm_backend () in
+    let calls = ref 0 in
+    let shutdown () =
+      incr calls;
+      b.Backend.shutdown ()
+    in
+    let outcome =
+      match Pthreads.run ~backend:{ b with Backend.shutdown } main with
+      | status, _ -> Ok status
+      | exception e -> Error e
+    in
+    (outcome, !calls)
+  in
+  let returns, n = run_counted (fun _ -> 0) in
+  check int "returned: one shutdown" 1 n;
+  (match returns with
+  | Ok (Some (Types.Exited 0)) -> ()
+  | _ -> Alcotest.fail "returned: expected Exited 0");
+  let deadlocks, n =
+    run_counted (fun proc ->
+        let m = Mutex.create proc () and c = Cond.create proc () in
+        Mutex.lock proc m;
+        ignore (Cond.wait proc c m : Cond.wait_result);
+        0)
+  in
+  check int "deadlocked: one shutdown" 1 n;
+  (match deadlocks with
+  | Error (Types.Process_stopped (Types.Deadlock _)) -> ()
+  | _ -> Alcotest.fail "deadlocked: expected Process_stopped to propagate");
+  let raises, n = run_counted (fun _ -> failwith "main raised") in
+  check int "raised: one shutdown" 1 n;
+  match raises with
+  | Ok (Some (Types.Failed (Failure _))) -> ()
+  | _ -> Alcotest.fail "raised: expected main's Failed status"
+
 let suite =
   [
     ( "backend",
@@ -591,5 +632,7 @@ let suite =
             test_unix_delay_precision;
           tc "unix: client reset mid-request reads as end of stream"
             test_unix_client_reset_mid_request;
+          tc "run shuts the backend down once on every exit"
+            test_run_shuts_backend_down_once;
         ] );
   ]

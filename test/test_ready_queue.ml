@@ -1,9 +1,10 @@
-(* Ready-queue internals (exercised through a raw engine). *)
+(* The ready structure: [Wait_queue] on a raw engine's [ready], plus the
+   waiter-queue order model. *)
 
 open Tu
 open Pthreads
 open Pthreads.Types
-module RQ = Pthreads.Ready_queue
+module WQ = Pthreads.Wait_queue
 
 let mk_engine () =
   Engine.make (Engine.default_config Vm.Cost_model.sparc_ipx) ~main:(fun () -> 0)
@@ -15,7 +16,7 @@ let mk_tcb tid prio =
 
 let drain eng =
   let rec go acc =
-    match RQ.pop_highest eng with
+    match WQ.pop_highest eng.ready with
     | Some t -> go (t.tid :: acc)
     | None -> List.rev acc
   in
@@ -23,65 +24,67 @@ let drain eng =
 
 let test_pop_highest_order () =
   let eng = mk_engine () in
-  RQ.remove eng (Engine.current eng);
+  WQ.remove eng.ready (Engine.current eng);
   (* clear main *)
-  ignore (RQ.pop_highest eng);
-  RQ.push_tail eng (mk_tcb 1 5);
-  RQ.push_tail eng (mk_tcb 2 20);
-  RQ.push_tail eng (mk_tcb 3 10);
+  ignore (WQ.pop_highest eng.ready);
+  WQ.push_tail eng.ready (mk_tcb 1 5);
+  WQ.push_tail eng.ready (mk_tcb 2 20);
+  WQ.push_tail eng.ready (mk_tcb 3 10);
   check (Alcotest.list int) "descending priority" [ 2; 3; 1 ] (drain eng)
 
 let test_fifo_within_level () =
   let eng = mk_engine () in
-  ignore (RQ.pop_highest eng);
-  RQ.push_tail eng (mk_tcb 1 7);
-  RQ.push_tail eng (mk_tcb 2 7);
-  RQ.push_tail eng (mk_tcb 3 7);
+  ignore (WQ.pop_highest eng.ready);
+  WQ.push_tail eng.ready (mk_tcb 1 7);
+  WQ.push_tail eng.ready (mk_tcb 2 7);
+  WQ.push_tail eng.ready (mk_tcb 3 7);
   check (Alcotest.list int) "FIFO" [ 1; 2; 3 ] (drain eng)
 
 let test_push_head () =
   let eng = mk_engine () in
-  ignore (RQ.pop_highest eng);
-  RQ.push_tail eng (mk_tcb 1 7);
-  RQ.push_head eng (mk_tcb 2 7);
+  ignore (WQ.pop_highest eng.ready);
+  WQ.push_tail eng.ready (mk_tcb 1 7);
+  WQ.push_head eng.ready (mk_tcb 2 7);
   check (Alcotest.list int) "head first" [ 2; 1 ] (drain eng)
 
 let test_push_tail_lowest () =
   let eng = mk_engine () in
-  ignore (RQ.pop_highest eng);
+  ignore (WQ.pop_highest eng.ready);
   let hi = mk_tcb 1 25 in
-  RQ.push_tail_lowest eng hi;
-  RQ.push_tail eng (mk_tcb 2 3);
+  WQ.push_tail_at eng.ready hi min_prio;
+  WQ.push_tail eng.ready (mk_tcb 2 3);
   (* hi sits in the lowest queue despite its priority field *)
   check (Alcotest.list int) "positional demotion" [ 2; 1 ] (drain eng)
 
 let test_remove () =
   let eng = mk_engine () in
-  ignore (RQ.pop_highest eng);
+  ignore (WQ.pop_highest eng.ready);
   let a = mk_tcb 1 7 and b = mk_tcb 2 7 in
-  RQ.push_tail eng a;
-  RQ.push_tail eng b;
-  RQ.remove eng a;
+  WQ.push_tail eng.ready a;
+  WQ.push_tail eng.ready b;
+  WQ.remove eng.ready a;
   check (Alcotest.list int) "removed" [ 2 ] (drain eng)
 
 let test_size_iter () =
   let eng = mk_engine () in
-  ignore (RQ.pop_highest eng);
-  RQ.push_tail eng (mk_tcb 1 1);
-  RQ.push_tail eng (mk_tcb 2 30);
-  check int "size" 2 (RQ.size eng);
+  ignore (WQ.pop_highest eng.ready);
+  WQ.push_tail eng.ready (mk_tcb 1 1);
+  WQ.push_tail eng.ready (mk_tcb 2 30);
+  check int "size" 2 (WQ.size eng.ready);
   let seen = ref 0 in
-  RQ.iter eng (fun _ -> incr seen);
+  WQ.iter eng.ready (fun _ -> incr seen);
   check int "iter visits all" 2 !seen
 
 let test_pop_random_deterministic () =
   let rng1 = Vm.Rng.create 9 and rng2 = Vm.Rng.create 9 in
   let run rng =
     let eng = mk_engine () in
-    ignore (RQ.pop_highest eng);
-    List.iter (fun i -> RQ.push_tail eng (mk_tcb i (i mod 4))) [ 1; 2; 3; 4; 5 ];
+    ignore (WQ.pop_highest eng.ready);
+    List.iter
+      (fun i -> WQ.push_tail eng.ready (mk_tcb i (i mod 4)))
+      [ 1; 2; 3; 4; 5 ];
     let rec go acc =
-      match RQ.pop_random eng rng with
+      match WQ.pop_random eng.ready rng with
       | Some t -> go (t.tid :: acc)
       | None -> List.rev acc
     in
@@ -91,18 +94,18 @@ let test_pop_random_deterministic () =
 
 let test_pop_random_empty () =
   let eng = mk_engine () in
-  ignore (RQ.pop_highest eng);
-  check bool "none" true (RQ.pop_random eng (Vm.Rng.create 1) = None)
+  ignore (WQ.pop_highest eng.ready);
+  check bool "none" true (WQ.pop_random eng.ready (Vm.Rng.create 1) = None)
 
 let prop_pop_sorted =
   qcheck ~count:100 "pop_highest yields non-increasing priorities"
     QCheck2.Gen.(small_list (int_range 0 31))
     (fun prios ->
       let eng = mk_engine () in
-      ignore (RQ.pop_highest eng);
-      List.iteri (fun i p -> RQ.push_tail eng (mk_tcb i p)) prios;
+      ignore (WQ.pop_highest eng.ready);
+      List.iteri (fun i p -> WQ.push_tail eng.ready (mk_tcb i p)) prios;
       let rec go last =
-        match RQ.pop_highest eng with
+        match WQ.pop_highest eng.ready with
         | None -> true
         | Some t -> t.prio <= last && go t.prio
       in
@@ -174,7 +177,7 @@ let gen_ops =
 
 let run_model_trace ops ~pop =
   let eng = mk_engine () in
-  ignore (RQ.pop_highest eng);
+  ignore (WQ.pop_highest eng.ready);
   let model = Model.create () in
   let pool = Array.init pool_size (fun i -> mk_tcb (i + 1) 0) in
   let ok = ref true in
@@ -192,30 +195,33 @@ let run_model_trace ops ~pop =
       | 0 ->
           if not queued then begin
             t.prio <- prio;
-            RQ.push_tail eng t;
+            WQ.push_tail eng.ready t;
             Model.push_tail model prio t.tid
           end
       | 1 ->
           if not queued then begin
             t.prio <- prio;
-            RQ.push_head eng t;
+            WQ.push_head eng.ready t;
             Model.push_head model prio t.tid
           end
       | 2 ->
           if not queued then begin
             t.prio <- prio;
-            RQ.push_tail_lowest eng t;
+            WQ.push_tail_at eng.ready t min_prio;
             Model.push_tail model min_prio t.tid
           end
-      | 3 -> record_pop (opt_tid (pop eng)) (model_tid (Model.pop_highest model))
+      | 3 ->
+          record_pop (opt_tid (pop eng.ready))
+            (model_tid (Model.pop_highest model))
       | _ ->
-          RQ.remove eng t;
+          WQ.remove eng.ready t;
           Model.remove model t.tid)
     ops;
-  if RQ.size eng <> Model.size model then ok := false;
+  if WQ.size eng.ready <> Model.size model then ok := false;
   (* drain both and require identical order *)
   let rec drain_both () =
-    let r = opt_tid (pop eng) and m = model_tid (Model.pop_highest model) in
+    let r = opt_tid (pop eng.ready)
+    and m = model_tid (Model.pop_highest model) in
     record_pop r m;
     if r <> -1 || m <> -1 then drain_both ()
   in
@@ -224,7 +230,7 @@ let run_model_trace ops ~pop =
 
 let prop_model_fifo =
   qcheck ~count:300 "bitmap queue = list model (Fifo/Rr pop order)" gen_ops
-    (fun ops -> run_model_trace ops ~pop:RQ.pop_highest)
+    (fun ops -> run_model_trace ops ~pop:WQ.pop_highest)
 
 let prop_model_random =
   qcheck ~count:300
@@ -234,7 +240,7 @@ let prop_model_random =
       (* same seed on both sides: the draws must line up exactly *)
       let rng_real = Vm.Rng.create seed and rng_model = Vm.Rng.create seed in
       let eng = mk_engine () in
-      ignore (RQ.pop_highest eng);
+      ignore (WQ.pop_highest eng.ready);
       let model = Model.create () in
       let pool = Array.init pool_size (fun i -> mk_tcb (i + 1) 0) in
       let ok = ref true in
@@ -246,12 +252,12 @@ let prop_model_random =
           | 0 | 1 | 2 ->
               if not queued then begin
                 t.prio <- prio;
-                RQ.push_tail eng t;
+                WQ.push_tail eng.ready t;
                 Model.push_tail model prio t.tid
               end
           | 3 ->
               let r =
-                match RQ.pop_random eng rng_real with
+                match WQ.pop_random eng.ready rng_real with
                 | Some t -> t.tid
                 | None -> -1
               and m =
@@ -261,12 +267,14 @@ let prop_model_random =
               in
               if r <> m then ok := false
           | _ ->
-              RQ.remove eng t;
+              WQ.remove eng.ready t;
               Model.remove model t.tid)
         ops;
       let rec drain () =
         let r =
-          match RQ.pop_random eng rng_real with Some t -> t.tid | None -> -1
+          match WQ.pop_random eng.ready rng_real with
+          | Some t -> t.tid
+          | None -> -1
         and m =
           match Model.pop_random model rng_model with
           | Some tid -> tid
@@ -282,7 +290,6 @@ let prop_model_random =
    priority (FIFO within a level) via [Tcb.insert_by_prio] and re-sorted
    with [List.stable_sort] after a priority change.  The bucketed queue
    must reproduce that order exactly, including after [reposition]. *)
-module WQ = Pthreads.Wait_queue
 
 let prop_wait_queue_model =
   qcheck ~count:300 "wait queue = insert_by_prio/stable_sort reference"

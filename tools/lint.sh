@@ -8,7 +8,7 @@ fail=0
 # 1. Every module under lib/ carries an interface.  The allowlist is the
 #    deliberate exceptions: pure-constant tables and type-only modules
 #    whose full signature IS the implementation.
-allow="lib/pthreads/costs.ml lib/pthreads/import.ml lib/pthreads/types.ml"
+allow="lib/pthreads/costs.ml lib/pthreads/types.ml"
 for f in lib/*/*.ml; do
   case " $allow " in *" $f "*) continue ;; esac
   if [ ! -f "${f%.ml}.mli" ]; then
@@ -109,6 +109,20 @@ hits=$(grep -rnE --include='*.ml' --include='*.mli' \
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits" >&2
   echo "lint: Unix.select/Unix.gettimeofday in lib/ — wait in Real_kernel's ppoll and read Vm.Real_clock" >&2
+  fail=1
+fi
+
+# 9. No deprecation layer.  The semaphore, libc_r and tasking layers, the
+#    checker, fault injector, sanitizer, bench and tests sit on the kernel
+#    modules by design, so an alert on them is one every caller would
+#    switch off: no alert attribute in lib/, no alert flag in a dune file.
+hits=$( (grep -rnE --include='*.ml' --include='*.mli' \
+  '\[@@deprecated|\[@@@alert' lib/
+  find . -name _build -prune -o -name dune -type f -print |
+    xargs grep -n -e '-alert' /dev/null) )
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: deprecation layer — call the kernel modules directly, without alerts or -alert flags" >&2
   fail=1
 fi
 
