@@ -18,7 +18,6 @@ let create eng ?name () =
       c_mutex = nil_mutex;
       c_blocked = Blocked (On_cond c);
       c_census_next = nil_cond;
-      c_census_prev = nil_cond;
     }
   in
   Engine.census_add_cond eng c;

@@ -63,6 +63,7 @@ let key_kind_signal = 4
 let key_kind_user = 5
 let key_kind_lock = 6
 let key_kind_sem = 7
+let key_kind_io = 8
 let key_mutex id = (key_kind_mutex lsl 24) lor id
 let key_cond id = (key_kind_cond lsl 24) lor id
 let key_thread tid = (key_kind_thread lsl 24) lor tid
@@ -70,6 +71,7 @@ let key_signal s = (key_kind_signal lsl 24) lor s
 let key_user id = (key_kind_user lsl 24) lor (id land 0xFFFFFF)
 let key_lock id = (key_kind_lock lsl 24) lor id
 let key_sem id = (key_kind_sem lsl 24) lor id
+let key_io id = (key_kind_io lsl 24) lor id
 
 let key_kind k = k lsr 24
 
@@ -83,6 +85,7 @@ let key_to_string k =
   | 5 -> Printf.sprintf "user:%d" id
   | 6 -> Printf.sprintf "lock:%d" id
   | 7 -> Printf.sprintf "sem:%d" id
+  | 8 -> Printf.sprintf "io:%d" id
   | _ -> Printf.sprintf "key:%x" k
 
 let key_of_string s =
@@ -98,6 +101,7 @@ let key_of_string s =
       | "user", Some id -> Some (key_user id)
       | "lock", Some id -> Some (key_lock id)
       | "sem", Some id -> Some (key_sem id)
+      | "io", Some id -> Some (key_io id)
       | _ -> None)
 
 let exploring eng = eng.explore_hook <> None
@@ -206,28 +210,15 @@ let thread_list eng = List.rev (fold_threads eng (fun acc t -> t :: acc) [])
 let thread_count eng = eng.threads.tt_count
 
 (* ------------------------------------------------------------------ *)
-(* The object census: live mutexes and conds in creation order, for     *)
-(* the invariant checker.  Intrusive, so retiring an object is O(1).    *)
+(* The object census: every mutex and cond in creation order, for the  *)
+(* invariant checker.  Intrusive and append-only.                      *)
 (* ------------------------------------------------------------------ *)
 
 let census_add_mutex eng m =
   let last = eng.census_mutexes_last in
-  m.m_census_prev <- last;
   m.m_census_next <- nil_mutex;
   if last == nil_mutex then eng.census_mutexes <- m else last.m_census_next <- m;
   eng.census_mutexes_last <- m
-
-(* A no-op for an object already retired (its links are cleared and it is
-   no longer the head). *)
-let census_remove_mutex eng m =
-  if m.m_census_prev != nil_mutex || eng.census_mutexes == m then begin
-    let prev = m.m_census_prev and next = m.m_census_next in
-    if prev == nil_mutex then eng.census_mutexes <- next else prev.m_census_next <- next;
-    if next == nil_mutex then eng.census_mutexes_last <- prev
-    else next.m_census_prev <- prev;
-    m.m_census_prev <- nil_mutex;
-    m.m_census_next <- nil_mutex
-  end
 
 let iter_mutexes eng f =
   let rec go m =
@@ -241,20 +232,9 @@ let iter_mutexes eng f =
 
 let census_add_cond eng c =
   let last = eng.census_conds_last in
-  c.c_census_prev <- last;
   c.c_census_next <- nil_cond;
   if last == nil_cond then eng.census_conds <- c else last.c_census_next <- c;
   eng.census_conds_last <- c
-
-let census_remove_cond eng c =
-  if c.c_census_prev != nil_cond || eng.census_conds == c then begin
-    let prev = c.c_census_prev and next = c.c_census_next in
-    if prev == nil_cond then eng.census_conds <- next else prev.c_census_next <- next;
-    if next == nil_cond then eng.census_conds_last <- prev
-    else next.c_census_prev <- prev;
-    c.c_census_prev <- nil_cond;
-    c.c_census_next <- nil_cond
-  end
 
 let iter_conds eng f =
   let rec go c =
@@ -332,6 +312,10 @@ let rec set_effective_prio eng t new_prio ~at_head =
         let old_prio = t.prio in
         t.prio <- new_prio;
         Wait_queue.reposition c.c_waiters t ~old_prio
+    | Blocked (On_io w) ->
+        let old_prio = t.prio in
+        t.prio <- new_prio;
+        Wait_queue.reposition w.io_waiters t ~old_prio
     | Blocked (On_join _ | On_sigwait _ | On_sleep | On_start | On_suspend
               | On_shared _)
     | Terminated ->
@@ -466,6 +450,7 @@ let unblock_core eng t wake =
           Wait_queue.remove c.c_waiters t;
           if Wait_queue.is_empty c.c_waiters then c.c_mutex <- nil_mutex
       | On_join target -> Wait_queue.remove target.joiners t
+      | On_io w -> Wait_queue.remove w.io_waiters t
       | On_sigwait _ -> t.sigwait_set <- Sigset.empty
       | On_start ->
           (* lazy creation: resources are allocated at activation time *)
@@ -635,12 +620,12 @@ and act_on eng t s code origin =
          share one (non-queuing) SIGIO, so a woken waiter re-checks its own
          completion state.  The kernel records which requester each
          completion belongs to, so the doorbell wakes exactly the
-         sigwaiting threads that have a completion to collect (in tid
-         order, as the all-threads scan this replaces did) — with hundreds
-         of net waiters parked in sigwait, waking the whole herd per
-         doorbell was O(waiters) dispatches per completion batch.  A
-         doorbell with no completed sigwaiter still falls back to the full
-         scan, so plain sigwait(SIGIO) users keep the old wakeup. *)
+         [aio_read] sigwaiters that have a completion to collect (in tid
+         order, as an all-threads scan would visit them) instead of every
+         SIGIO sigwaiter.  [Net] does not wait here: its sockets block in
+         [On_io] and are woken by [wake_io_ready].  A doorbell with no
+         completed sigwaiter still falls back to the full scan, so plain
+         sigwait(SIGIO) users keep the old wakeup. *)
       let woke_any = ref false in
       let wake_waiter w =
         match w.state with
@@ -721,7 +706,7 @@ and handle_cancel_signal eng t =
          one is acted upon now.  A mutex wait is explicitly *not* an
          interruption point. *)
       match t.state with
-      | Blocked (On_cond _ | On_join _ | On_sigwait _ | On_sleep) ->
+      | Blocked (On_cond _ | On_join _ | On_sigwait _ | On_sleep | On_io _) ->
           act_cancel eng t
       | _ -> ())
 
@@ -782,10 +767,31 @@ let universal_handler eng ~signo ~code ~origin =
     set_kernel_flag eng false
   end
 
+(* Wake the threads whose socket watches fired in the backend's last poll,
+   in poll order.  A fired requester is a tid: one that is no longer
+   blocked in an I/O wait (it was cancelled, or the tid was reaped) is
+   skipped, and a recycled tid now in some other I/O wait gets a spurious
+   wake that its retry loop absorbs. *)
+let wake_io_ready eng =
+  match Unix_kernel.take_io_ready eng.vm with
+  | [] -> ()
+  | tids ->
+      let saved = eng.kernel_flag in
+      set_kernel_flag eng true;
+      List.iter
+        (fun tid ->
+          match find_thread eng tid with
+          | Some ({ state = Blocked (On_io _); _ } as t) ->
+              unblock eng t Wake_normal
+          | Some _ | None -> ())
+        tids;
+      set_kernel_flag eng saved
+
 let poll_signals eng =
   (* Import external events first (real fd readiness, forwarded host
      signals); a no-op closure on the virtual backend. *)
   eng.backend.Backend.pump ();
+  wake_io_ready eng;
   Unix_kernel.check_events eng.vm;
   try
     while Unix_kernel.has_deliverable eng.vm do
@@ -964,6 +970,60 @@ let test_cancel eng =
     act_cancel eng t;
     drain_fake_calls eng (* raises Thread_exit_exn Canceled *)
   end
+
+(* ------------------------------------------------------------------ *)
+(* I/O waits                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let io_wait_create eng ~name =
+  let rec w =
+    {
+      io_id = fresh_obj_id eng;
+      io_name = name;
+      io_waiters = Wait_queue.create ();
+      io_blocked = Blocked (On_io w);
+    }
+  in
+  w
+
+(* Called and returning inside the kernel, so the caller's test of its
+   condition and this suspension are one atomic step.  Blocking is an
+   interruption point: a cancellation already pending is acted upon
+   instead of sleeping, and one requested during the wait unblocks the
+   thread with a [Fake_exit] that the drain below raises.  A normal wake
+   is never consumed by a cancellation: the caller re-tests its condition
+   first, and a cancellation that arrived meanwhile waits for the next
+   interruption point. *)
+let io_block eng w =
+  let self = eng.current in
+  if self.cancel_pending && self.cancel_state = Cancel_enabled then begin
+    set_kernel_flag eng false;
+    test_cancel eng
+  end;
+  self.state <- w.io_blocked;
+  Wait_queue.push_tail w.io_waiters self;
+  ignore (block eng : wake);
+  (* the caller re-reads the object's state in this new step *)
+  touch eng (key_io w.io_id);
+  drain_fake_calls eng;
+  enter_kernel eng
+
+(* A wake publishes the waker's clock at the key whether or not anybody
+   waits: the reader that later finds the data merges it (as [Cond.signal]
+   publishes for its waiters). *)
+let io_wake_one eng w =
+  san_publish eng (key_io w.io_id);
+  let t = Wait_queue.peek_highest w.io_waiters in
+  if t != nil_tcb then unblock eng t Wake_normal
+
+let io_wake_all eng w =
+  san_publish eng (key_io w.io_id);
+  let rec go best =
+    let t = Wait_queue.peek_highest w.io_waiters in
+    if t == nil_tcb then best
+    else go (if unblock_core eng t Wake_normal then max best t.prio else best)
+  in
+  flag_if_preempts eng (go min_int)
 
 let yield eng =
   checkpoint eng;

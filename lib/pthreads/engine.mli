@@ -88,12 +88,6 @@ val census_add_mutex : engine -> mutex -> unit
 val census_add_cond : engine -> cond -> unit
 (** Enter a new object in the census the invariant checker walks. *)
 
-val census_remove_mutex : engine -> mutex -> unit
-val census_remove_cond : engine -> cond -> unit
-(** Retire an object from the census in O(1) (a no-op when already
-    retired): for owners that recycle objects on a long-lived engine, like
-    [Net]'s per-connection pipes.  The object stays usable. *)
-
 val iter_mutexes : engine -> (mutex -> unit) -> unit
 val iter_conds : engine -> (cond -> unit) -> unit
 (** The census in creation order. *)
@@ -137,6 +131,31 @@ val sleep_next_deadline : engine -> int
 val finish_current : engine -> exit_status -> unit
 (** Thread-termination bookkeeping: runs cleanup handlers and TSD
     destructors, wakes joiners, reclaims a detached thread's slab. *)
+
+(** {1 I/O waits}
+
+    The one blocking idiom of [Net]: a waiter queue per I/O object, used
+    like a condition variable without a mutex — the kernel flag is the
+    monitor.  An I/O wait is not in the census. *)
+
+val io_wait_create : engine -> name:string -> io_wait
+(** A fresh, empty I/O wait with footprint key [key_io io_id]. *)
+
+val io_block : engine -> io_wait -> unit
+(** Suspend the current thread on the wait.  Called inside the kernel,
+    right after the caller found its condition false, and returns inside
+    the kernel after any wake — normal, or interrupted by a signal
+    handler — so the caller loops on its condition.  An interruption
+    point: a pending or arriving cancellation raises
+    {!Types.Thread_exit_exn} (outside the kernel). *)
+
+val io_wake_one : engine -> io_wait -> unit
+(** Make the best waiter ready (none: no-op) and publish the caller's
+    happens-before clock at the key ({!san_publish}) for whoever later
+    {!san_merge}s it.  Inside the kernel. *)
+
+val io_wake_all : engine -> io_wait -> unit
+(** {!io_wake_one} for every waiter, with one preemption test. *)
 
 (** {1 Priorities} *)
 
@@ -297,9 +316,13 @@ val key_sem : int -> int
     acquisition, a post by the holder a release, and a re-wait evicts the
     stale hold rather than reporting a self-cycle. *)
 
+val key_io : int -> int
+(** Footprint key for an I/O wait ({!io_wait_create}): the pipe, listener
+    or socket transport it queues for. *)
+
 val key_kind : int -> int
 (** The kind byte of a footprint key (1 = mutex, 2 = cond, 3 = thread,
-    4 = signal, 5 = user, 6 = lock, 7 = sem). *)
+    4 = signal, 5 = user, 6 = lock, 7 = sem, 8 = io). *)
 
 val key_to_string : int -> string
 

@@ -33,7 +33,6 @@ let create eng ?name ?(protocol = No_protocol) ?ceiling () =
       m_held_prev = nil_mutex;
       m_blocked = Blocked (On_mutex m);
       m_census_next = nil_mutex;
-      m_census_prev = nil_mutex;
     }
   in
   Engine.census_add_mutex eng m;

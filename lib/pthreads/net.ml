@@ -1,66 +1,75 @@
 open Vm
 open Types
 
+(* Both transports block the same way: inside the kernel, a thread tests
+   its condition and, while it is false, suspends on the object's I/O
+   wait ([Engine.io_block]).  The kernel flag is the only lock. *)
+
 (* ------------------------------------------------------------------ *)
 (* Virtual transport: deterministic in-process pipes                   *)
 (* ------------------------------------------------------------------ *)
 
 (* One direction of a connection: a byte buffer with a consumed-prefix
-   offset, guarded by a library mutex/cond so blocked readers are ordinary
-   cond waiters (visible to the scheduler, checker and sanitizer). *)
+   offset and the I/O wait its readers block on. *)
 type vpipe = {
   p_buf : Buffer.t;
   mutable p_off : int;  (* consumed prefix of [p_buf] *)
   mutable p_eof : bool;  (* writer closed *)
-  p_lock : mutex;
-  p_cond : cond;  (* signaled on data arrival and on close *)
-  mutable p_open_ends : int;  (* connection ends not yet closed: 2, 1, 0 *)
+  p_io : io_wait;  (* readers; woken on data arrival and on close *)
 }
 
-type vconn = { rx : vpipe; tx : vpipe; mutable v_closed : bool }
+type vconn = { rx : vpipe; tx : vpipe }
 
 type vlistener = {
   vl_port : int;
   vl_queue : vconn Queue.t;  (* server-side ends awaiting accept *)
-  vl_lock : mutex;
-  vl_cond : cond;
   mutable vl_closed : bool;
+  vl_io : io_wait;  (* accepters *)
 }
 
-(* Engine-wide loopback port registry, installed lazily in the engine's
-   extension slot.  Registry reads/writes are straight-line (the engine
-   only preempts at checkpoints), so the per-listener locks suffice. *)
-type vstate = {
+(* Engine-wide state, installed lazily in the engine's extension slot:
+   the loopback port registry and the one I/O wait every socket of the
+   Unix transport blocks on (its wakes are by thread, not by queue). *)
+type state = {
   mutable vports : (int * vlistener) list;
   mutable vnext_port : int;
+  sock_io : io_wait Lazy.t;  (* made on the first socket wait *)
 }
 
-type Types.ext += Net_state of vstate
+type Types.ext += Net_state of state
 
-let vstate eng =
+let state eng =
   match eng.net_state with
   | Net_state s -> s
   | _ ->
-      let s = { vports = []; vnext_port = 49152 } in
+      let sock_io = lazy (Engine.io_wait_create eng ~name:"net.socket") in
+      let s = { vports = []; vnext_port = 49152; sock_io } in
       eng.net_state <- Net_state s;
       s
 
+let key w = Engine.key_io w.io_id
+
+(* Operation prologue: a scheduling point, then the kernel, with the
+   object's key in the step's footprint. *)
+let enter eng w =
+  Engine.checkpoint eng;
+  Engine.touch eng (key w);
+  Engine.enter_kernel eng
+
+let leave eng =
+  Engine.leave_kernel eng;
+  Engine.drain_fake_calls eng
+
 let vpipe_make eng =
-  {
-    p_buf = Buffer.create 256;
-    p_off = 0;
-    p_eof = false;
-    p_lock = Mutex.create eng ~name:"net.pipe" ();
-    p_cond = Cond.create eng ~name:"net.pipe" ();
-    p_open_ends = 2;
-  }
+  let p_io = Engine.io_wait_create eng ~name:"net.pipe" in
+  { p_buf = Buffer.create 256; p_off = 0; p_eof = false; p_io }
 
 let avail p = Buffer.length p.p_buf - p.p_off
 
 let vpipe_read eng p buf ~pos ~len =
-  Mutex.lock eng p.p_lock;
+  enter eng p.p_io;
   while avail p = 0 && not p.p_eof do
-    ignore (Cond.wait eng p.p_cond p.p_lock : Cond.wait_result)
+    Engine.io_block eng p.p_io
   done;
   let n = min len (avail p) in
   if n > 0 then begin
@@ -70,65 +79,52 @@ let vpipe_read eng p buf ~pos ~len =
       Buffer.clear p.p_buf;
       p.p_off <- 0
     end
+    else
+      (* a short read leaves data: pass the wake on to the next reader,
+         as a level-triggered socket would *)
+      Engine.io_wake_one eng p.p_io
   end;
-  Mutex.unlock eng p.p_lock;
+  (* the writer's (or closer's) happens-before edge *)
+  Engine.san_merge eng (key p.p_io);
+  leave eng;
   n
 
 let vpipe_write eng p buf ~pos ~len =
-  Mutex.lock eng p.p_lock;
+  enter eng p.p_io;
   let n =
     if p.p_eof then 0 (* peer closed: nothing to write into *)
     else begin
       Buffer.add_subbytes p.p_buf buf pos len;
-      Cond.signal eng p.p_cond;
+      Engine.io_wake_one eng p.p_io;
       len
     end
   in
-  Mutex.unlock eng p.p_lock;
+  leave eng;
   n
 
+(* Inside the kernel. *)
 let vpipe_close eng p =
-  Mutex.lock eng p.p_lock;
+  Engine.touch eng (key p.p_io);
   if not p.p_eof then begin
     p.p_eof <- true;
-    Cond.broadcast eng p.p_cond
-  end;
-  Mutex.unlock eng p.p_lock
-
-(* Once both ends of a connection have closed, nobody can block on its
-   pipes again: they leave the engine's census, so a long-lived server's
-   census holds its open connections, not every connection it ever had. *)
-let vpipe_retire eng p =
-  p.p_open_ends <- p.p_open_ends - 1;
-  if p.p_open_ends = 0 then begin
-    Engine.census_remove_mutex eng p.p_lock;
-    Engine.census_remove_cond eng p.p_cond
+    Engine.io_wake_all eng p.p_io
   end
 
 (* ------------------------------------------------------------------ *)
-(* Unix transport: readiness watch + SIGIO doorbell                    *)
+(* Unix transport: readiness watch, woken directly by the engine       *)
 (* ------------------------------------------------------------------ *)
 
-let sigio_only = Sigset.singleton Sigset.sigio
-
-(* Same discipline as [Signal_api.aio_read]: block SIGIO so the doorbell
-   pends instead of running a handler, register the one-shot watch, then
-   poll the completion state in a sigwait loop — completions are recorded
-   before the doorbell posts, so the check-then-wait order is race-free. *)
-let wait_ready eng (net : Backend.net_ops) handle dir =
-  let old = Signal_api.set_mask eng `Block sigio_only in
-  let self = Engine.current eng in
-  net.Backend.net_watch handle dir ~requester:self.tid;
-  while not (Unix_kernel.take_io_completion eng.vm ~requester:self.tid) do
-    ignore (Signal_api.sigwait eng sigio_only : int)
-  done;
-  ignore (Signal_api.set_mask eng `Set old : Sigset.t)
-
-let rec unix_retry eng net handle dir op =
+(* A would-block op registers a one-shot watch for this thread and blocks
+   until the backend's poll fires it (or a handler interrupts the wait),
+   then retries: a spurious wake only costs a retry. *)
+let rec unix_retry eng (net : Backend.net_ops) handle dir op =
   match op () with
   | Some v -> v
   | None ->
-      wait_ready eng net handle dir;
+      net.Backend.net_watch handle dir ~requester:(Engine.current eng).tid;
+      Engine.enter_kernel eng;
+      Engine.io_block eng (Lazy.force (state eng).sock_io);
+      leave eng;
       unix_retry eng net handle dir op
 
 (* ------------------------------------------------------------------ *)
@@ -148,7 +144,7 @@ let listen eng ?(backlog = 128) ~port () =
   match eng.backend.Backend.net with
   | Some net -> L_unix (net.Backend.net_listen ~port ~backlog)
   | None ->
-      let s = vstate eng in
+      let s = state eng in
       let port =
         if port <> 0 then port
         else begin
@@ -163,9 +159,8 @@ let listen eng ?(backlog = 128) ~port () =
         {
           vl_port = port;
           vl_queue = Queue.create ();
-          vl_lock = Mutex.create eng ~name:"net.listener" ();
-          vl_cond = Cond.create eng ~name:"net.listener" ();
           vl_closed = false;
+          vl_io = Engine.io_wait_create eng ~name:"net.listener";
         }
       in
       s.vports <- (port, l) :: s.vports;
@@ -177,23 +172,24 @@ let port eng l =
   | L_vm l -> l.vl_port
 
 let accept eng l =
-  Engine.checkpoint eng;
   match l with
   | L_unix h ->
+      Engine.checkpoint eng;
       let net = net_ops eng in
       C_unix
         (unix_retry eng net h `Read (fun () -> net.Backend.net_accept h))
   | L_vm l ->
-      Mutex.lock eng l.vl_lock;
+      enter eng l.vl_io;
       while Queue.is_empty l.vl_queue && not l.vl_closed do
-        ignore (Cond.wait eng l.vl_cond l.vl_lock : Cond.wait_result)
+        Engine.io_block eng l.vl_io
       done;
+      Engine.san_merge eng (key l.vl_io);
       if l.vl_closed then begin
-        Mutex.unlock eng l.vl_lock;
+        leave eng;
         raise (Error (Errno.EINVAL, "Net.accept: listener closed"))
       end;
       let c = Queue.pop l.vl_queue in
-      Mutex.unlock eng l.vl_lock;
+      leave eng;
       C_vm c
 
 let connect eng ~port =
@@ -201,19 +197,17 @@ let connect eng ~port =
   match eng.backend.Backend.net with
   | Some net -> C_unix (net.Backend.net_connect ~port)
   | None -> (
-      let s = vstate eng in
-      match List.assoc_opt port s.vports with
+      match List.assoc_opt port (state eng).vports with
       | None | Some { vl_closed = true; _ } ->
           raise (Error (Errno.EINVAL, "Net.connect: connection refused"))
       | Some l ->
           let c2s = vpipe_make eng and s2c = vpipe_make eng in
-          let server_end = { rx = c2s; tx = s2c; v_closed = false }
-          and client_end = { rx = s2c; tx = c2s; v_closed = false } in
-          Mutex.lock eng l.vl_lock;
-          Queue.push server_end l.vl_queue;
-          Cond.signal eng l.vl_cond;
-          Mutex.unlock eng l.vl_lock;
-          C_vm client_end)
+          Engine.touch eng (key l.vl_io);
+          Engine.enter_kernel eng;
+          Queue.push { rx = c2s; tx = s2c } l.vl_queue;
+          Engine.io_wake_one eng l.vl_io;
+          leave eng;
+          C_vm { rx = s2c; tx = c2s })
 
 let read eng c buf ~pos ~len =
   match c with
@@ -244,22 +238,20 @@ let close eng c =
   match c with
   | C_unix h -> (net_ops eng).Backend.net_close h
   | C_vm c ->
+      Engine.enter_kernel eng;
       vpipe_close eng c.tx;
       vpipe_close eng c.rx;
-      if not c.v_closed then begin
-        c.v_closed <- true;
-        vpipe_retire eng c.tx;
-        vpipe_retire eng c.rx
-      end
+      leave eng
 
 let close_listener eng l =
   Engine.checkpoint eng;
   match l with
   | L_unix h -> (net_ops eng).Backend.net_close h
   | L_vm l ->
-      let s = vstate eng in
+      let s = state eng in
       s.vports <- List.remove_assoc l.vl_port s.vports;
-      Mutex.lock eng l.vl_lock;
+      Engine.touch eng (key l.vl_io);
+      Engine.enter_kernel eng;
       l.vl_closed <- true;
-      Cond.broadcast eng l.vl_cond;
-      Mutex.unlock eng l.vl_lock
+      Engine.io_wake_all eng l.vl_io;
+      leave eng

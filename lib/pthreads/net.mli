@@ -3,19 +3,22 @@
     On the {b Unix} backend ([Vm.Real_kernel]) these are real nonblocking
     TCP sockets on 127.0.0.1, driven through the backend's
     {!Vm.Backend.net_ops}.  A would-block operation registers a one-shot
-    readiness watch and waits for the SIGIO doorbell exactly like
-    [Signal_api.aio_read]: block SIGIO, then poll the completion state in
-    a [sigwait] loop (BSD signals do not queue, so the doorbell may
-    collapse; the completion counts do not).
+    readiness watch for its thread and blocks on the engine; when the
+    backend's poll fires the watch, the engine wakes that thread directly
+    (no signal) and the operation is retried.
 
     On the {b virtual} backend the same API is served by deterministic
-    in-process pipes (per-direction byte buffers guarded by library
-    {!Mutex}/{!Cond}), so server code is visible to the model checker and
-    sanitizer and runs in virtual time.
+    in-process pipes: per-direction byte buffers kept as plain data under
+    the kernel flag, each with its own engine I/O wait
+    ({!Engine.io_block}), so server code is visible to the model checker
+    (every pipe and listener has a footprint key) and the sanitizer (a
+    transfer is a happens-before edge), and runs in virtual time.
 
     Handler code written against this module runs unmodified on both
     backends.  All calls must be made from a thread of the engine's
-    process; blocking calls are scheduling points. *)
+    process; blocking calls are scheduling points.  A blocked {!read},
+    {!write} or {!accept} is an interruption point: a cancelled thread
+    leaves the connection as it was. *)
 
 open Types
 

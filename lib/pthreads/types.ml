@@ -88,6 +88,9 @@ and block_reason =
   | On_shared of string
       (** waiting on a cross-process (shared-memory) synchronization
           object; woken by another process's library *)
+  | On_io of io_wait
+      (** waiting for I/O readiness ([Net]: pipe data, a pending
+          connection, a ready socket); an interruption point *)
 
 and tcb = {
   tid : int;
@@ -196,7 +199,6 @@ and mutex = {
   m_blocked : thread_state;  (** [Blocked (On_mutex self)], built once *)
   mutable m_census_next : mutex;
       (** the engine's census (creation order); [nil_mutex]-terminated *)
-  mutable m_census_prev : mutex;
 }
 
 and cond = {
@@ -206,7 +208,15 @@ and cond = {
   mutable c_mutex : mutex;  (** bound while waiters exist; else [nil_mutex] *)
   c_blocked : thread_state;  (** [Blocked (On_cond self)], built once *)
   mutable c_census_next : cond;  (** the engine's census, creation order *)
-  mutable c_census_prev : cond;
+}
+
+(** An I/O wait: the waiter queue of one [Net] object (a pipe direction, a
+    listener, the socket transport), footprint key [Engine.key_io io_id]. *)
+and io_wait = {
+  io_id : int;
+  io_name : string;
+  io_waiters : pq;  (** priority order, FIFO within a level *)
+  io_blocked : thread_state;  (** [Blocked (On_io self)], built once *)
 }
 
 and fake_frame =
@@ -281,7 +291,6 @@ and nil_mutex =
     m_held_prev = nil_mutex;
     m_blocked = Blocked (On_mutex nil_mutex);
     m_census_next = nil_mutex;
-    m_census_prev = nil_mutex;
   }
 
 let rec nil_cond =
@@ -292,7 +301,6 @@ let rec nil_cond =
     c_mutex = nil_mutex;
     c_blocked = Blocked (On_cond nil_cond);
     c_census_next = nil_cond;
-    c_census_prev = nil_cond;
   }
 
 let nil_level = { lv_head = nil_tcb; lv_tail = nil_tcb; lv_len = 0 }
@@ -451,19 +459,19 @@ type engine = {
           threads, given in creation order.  The hook may abort the run by
           raising. *)
   mutable census_mutexes : mutex;
-      (** oldest mutex of the invariant checker's census of live objects
-          (intrusive through [m_census_next], creation order; [nil_mutex]
-          when empty).  Engines can outlive many connections, so objects
-          leave the census in O(1) when their owner retires them (see
-          [Engine.census_remove_mutex]). *)
+      (** oldest mutex of the invariant checker's census (intrusive
+          through [m_census_next], creation order; [nil_mutex] when
+          empty).  Append-only: [Net] objects are I/O waits, not census
+          members, so a long-lived server's census does not grow with its
+          connections. *)
   mutable census_mutexes_last : mutex;
   mutable census_conds : cond;  (** ditto for condition variables *)
   mutable census_conds_last : cond;
   mutable n_faults_injected : int;
       (** count of faults actually applied by the injection primitives *)
   mutable net_state : ext;
-      (** [Net]'s per-engine state (virtual loopback registry), installed
-          lazily on first use; [Ext_none] otherwise. *)
+      (** [Net]'s per-engine state (virtual loopback registry, socket
+          I/O wait), installed lazily on first use; [Ext_none] otherwise. *)
   mutable shard_state : ext;
       (** [Shard]'s per-engine state in parallel mode (the shard this
           engine pumps and its pool); [Ext_none] in single-domain mode. *)
@@ -523,3 +531,4 @@ let state_name = function
   | Blocked On_start -> "not-yet-activated"
   | Blocked On_suspend -> "suspended"
   | Blocked (On_shared name) -> "blocked-on-shared " ^ name
+  | Blocked (On_io w) -> "blocked-on-io " ^ w.io_name

@@ -13,11 +13,11 @@
       backend required by [lib/check] (DPOR), [lib/sanitize] and
       [lib/fault].
     - the {b Unix} backend ([Vm.Real_kernel]) pumps real [Unix] events
-      into the same state machine: a [ppoll] loop posts I/O completions
-      via {!Unix_kernel.post_io_completion}, forwarded host signals post
-      through {!Unix_kernel.post_signal}, and the clock is synchronized
-      from the host's monotonic time.  Not deterministic; it serves real
-      sockets.
+      into the same state machine: a [ppoll] loop records fired socket
+      watches via {!Unix_kernel.record_io_ready}, forwarded host signals
+      post through {!Unix_kernel.post_signal}, and the clock is
+      synchronized from the host's monotonic time.  Not deterministic; it
+      serves real sockets.
 
     The engine interacts with a backend through two seams:
 
@@ -39,7 +39,8 @@ type kind =
 (** Network operations a backend may provide (the Unix backend does; the
     virtual backend serves loopback traffic in-process, above this layer).
     Handles are small ints; data calls return [None] when the operation
-    would block — the caller registers a watch and waits for SIGIO. *)
+    would block — the caller registers a watch and blocks until the
+    engine wakes it. *)
 type net_ops = {
   net_listen : port:int -> backlog:int -> int;
       (** Bind and listen on loopback; [port = 0] picks a free port. *)
@@ -50,8 +51,8 @@ type net_ops = {
       (** [Some 0] = EOF; [None] = would block. *)
   net_write : int -> bytes -> pos:int -> len:int -> int option;
   net_watch : int -> [ `Read | `Write ] -> requester:int -> unit;
-      (** One-shot: post an I/O completion for [requester] (and the SIGIO
-          doorbell) when the handle becomes ready. *)
+      (** One-shot: when the handle becomes ready, record [requester]
+          with {!Unix_kernel.record_io_ready} (no signal is posted). *)
   net_close : int -> unit;
 }
 

@@ -121,11 +121,11 @@ let rebuild_poll_set t =
   t.poll_revents <- Array.make (n + 1) 0;
   t.cache_ok <- true
 
-(* Poll the current watches (and, when idle, the doorbell) and post a
-   completion for each ready watch.  Any readiness fires, hang-up and
-   error included: the reader then sees end of stream or the error.
-   Watches are one-shot: a fired watch is removed before its completion
-   is recorded, exactly like the simulated io_queue. *)
+(* Poll the current watches (and, when idle, the doorbell) and record the
+   requester of each ready watch, in poll order, for the engine to wake.
+   Any readiness fires, hang-up and error included: the reader then sees
+   end of stream or the error.  Watches are one-shot: a fired watch is
+   removed before its requester is recorded. *)
 let poll_watches t ~timeout_ns ~bell =
   if not t.cache_ok then rebuild_poll_set t;
   let ws = t.poll_watches and revents = t.poll_revents in
@@ -145,7 +145,7 @@ let poll_watches t ~timeout_ns ~bell =
     t.cache_ok <- false;
     for i = 0 to n - 1 do
       if revents.(i) <> 0 then
-        Unix_kernel.post_io_completion t.kernel ~requester:ws.(i).requester
+        Unix_kernel.record_io_ready t.kernel ~requester:ws.(i).requester
     done
   end
 
@@ -168,7 +168,8 @@ let wait t ~deadline_ns =
   else begin
     sync_clock t;
     drain_forwarded t;
-    if Unix_kernel.has_deliverable t.kernel then true
+    if Unix_kernel.has_deliverable t.kernel || Unix_kernel.has_io_ready t.kernel
+    then true
     else
       let now = Unix_kernel.now t.kernel in
       (* the doorbell is not a source of its own: only another domain

@@ -5,12 +5,11 @@
     - The kernel's {!Clock} is synchronized from {!Real_clock}
       ([CLOCK_MONOTONIC] nanoseconds) at every pump and wait, so timers
       armed on the shared timing wheel fire against host monotonic time.
-    - A [ppoll(2)] loop posts fd readiness through
-      {!Unix_kernel.post_io_completion} (one-shot watches), inheriting
-      the BSD one-pending-slot SIGIO collapse of the virtual backend.
-      Any readiness fires a watch, hang-up and error included, so a
-      reader sees end of stream or the error.  There is no FD_SETSIZE
-      ceiling.
+    - A [ppoll(2)] loop records the requester of each fired one-shot
+      watch with {!Unix_kernel.record_io_ready}; the engine wakes it
+      directly, without a signal.  Any readiness fires a watch, hang-up
+      and error included, so a reader sees end of stream or the error.
+      There is no FD_SETSIZE ceiling.
     - An idle [wait] blocks until the next deadline with a nanosecond
       timeout.  The first blocking wait on each host thread sets that
       thread's timer slack to 1 ns (Linux), which otherwise defers every

@@ -77,6 +77,8 @@ type t = {
      [check_events] can skip the completion scan when nothing is due. *)
   mutable io_next : int;
   io_completions : (int, int) Hashtbl.t;  (* requester -> unconsumed count *)
+  mutable io_ready : int list;
+      (* requesters of fired readiness watches, newest first; no signal *)
   traps_by_sys : int array;  (* indexed by [syscall_index] *)
   mutable traps_total : int;
   mutable n_sigsetmask : int;
@@ -126,6 +128,7 @@ let create ?clock prof =
       io_queue = [];
       io_next = max_int;
       io_completions;
+      io_ready = [];
       traps_by_sys;
       traps_total = 0;
       n_sigsetmask = 0;
@@ -313,15 +316,16 @@ let check_events t =
       List.fold_left (fun acc io -> min acc io.complete_at) max_int waiting
   end
 
-(* An externally observed completion (the real backend's poll loop) enters
-   the same record-then-doorbell path as the simulated queue above, so both
-   backends share the one-pending-slot collapse behaviour. *)
-let post_io_completion t ~requester =
-  let prev =
-    Option.value ~default:0 (Hashtbl.find_opt t.io_completions requester)
-  in
-  Hashtbl.replace t.io_completions requester (prev + 1);
-  post_signal t Sigset.sigio ~origin:(Io requester) ()
+let record_io_ready t ~requester = t.io_ready <- requester :: t.io_ready
+let has_io_ready t = t.io_ready <> []
+
+(* Runs at every checkpoint: the usual empty case stores nothing. *)
+let take_io_ready t =
+  match t.io_ready with
+  | [] -> []
+  | l ->
+      t.io_ready <- [];
+      List.rev l
 
 let take_io_completion t ~requester =
   match Hashtbl.find_opt t.io_completions requester with

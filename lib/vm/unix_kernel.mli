@@ -184,13 +184,17 @@ val blocking_io_ns : t -> int
 (** Total virtual time this process has spent stalled in blocking kernel
     I/O. *)
 
-val post_io_completion : t -> requester:int -> unit
-(** Record an I/O completion for [requester] and post the SIGIO doorbell.
-    This is the entry point real backends use to feed externally observed
-    readiness (a [ppoll] loop) into the same completion state the
-    simulated {!submit_io} queue uses — so both backends share the BSD
-    one-pending-slot collapse behaviour documented on
-    {!take_io_completion}. *)
+val record_io_ready : t -> requester:int -> unit
+(** Record that a readiness watch registered by thread [requester] fired
+    (the Unix backend's [ppoll] loop).  Posts no signal: the library wakes
+    the requester directly when it drains the list ({!take_io_ready}). *)
+
+val take_io_ready : t -> int list
+(** Remove and return the recorded requesters, oldest first (poll
+    order).  A requester appears once per fired watch. *)
+
+val has_io_ready : t -> bool
+(** Whether {!take_io_ready} would return a non-empty list. *)
 
 val take_io_completion : t -> requester:int -> bool
 (** Consume one recorded I/O completion for the thread, if any.  SIGIO is

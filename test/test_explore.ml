@@ -282,6 +282,102 @@ let test_parallel_covers_all_final_states () =
       true (par = full)
   done
 
+(* -------------------------------------------------------------------- *)
+(* DPOR over Net: pipes are engine I/O waits with footprint keys         *)
+(* -------------------------------------------------------------------- *)
+
+(* A connected pair on a fresh listener (no blocking: connect queues the
+   server end before accept takes it). *)
+let net_pair proc =
+  let l = Net.listen proc ~port:0 () in
+  let c = Net.connect proc ~port:(Net.port proc l) in
+  (l, c, Net.accept proc l)
+
+(* Main and one thread each write one byte into the same pipe, then each
+   reads one byte back out of it: who reads whose byte depends on the
+   interleaving, and the reduction must reach every outcome that full
+   enumeration reaches. *)
+let test_dpor_net_pipe_differential () =
+  let finals = Hashtbl.create 8 in
+  let mk () =
+    Pthread.make_proc (fun proc ->
+        let _, c, s = net_pair proc in
+        let one ch =
+          Net.write_all proc c (Bytes.make 1 ch) ~pos:0 ~len:1;
+          let b = Bytes.create 1 in
+          ignore (Net.read proc s b ~pos:0 ~len:1 : int);
+          Bytes.get b 0
+        in
+        let got = ref ' ' in
+        let t = Pthread.create_unit proc (fun () -> got := one 't') in
+        let mine = one 'm' in
+        ignore (Pthread.join proc t);
+        Hashtbl.replace finals (mine, !got) ();
+        0)
+  in
+  let collect config =
+    Hashtbl.reset finals;
+    let r = E.run ~config mk in
+    safe "pipe differential" r;
+    (r.stats.runs, List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) finals []))
+  in
+  let full_runs, full =
+    collect { E.default_config with dpor = false; sleep_sets = false }
+  in
+  let dpor_runs, dpor = collect E.default_config in
+  check bool "both byte assignments reachable" true (List.length full = 2);
+  check bool "DPOR reaches every final state of full enumeration" true
+    (dpor = full);
+  check bool
+    (Printf.sprintf "DPOR explores fewer schedules (%d < %d)" dpor_runs full_runs)
+    true (dpor_runs < full_runs)
+
+(* One client, two messages, through a server thread running the usual
+   echo loop: small enough to exhaust, with every pipe and the listener in
+   the footprints. *)
+let echo_2msg () =
+  Pthread.make_proc (fun proc ->
+      let l, c, s = net_pair proc in
+      let server =
+        Pthread.create_unit proc (fun () ->
+            let buf = Bytes.create 8 in
+            let rec loop () =
+              let n = Net.read proc s buf ~pos:0 ~len:8 in
+              if n > 0 then begin
+                Net.write_all proc s buf ~pos:0 ~len:n;
+                loop ()
+              end
+            in
+            loop ();
+            Net.close proc s)
+      in
+      let ok = ref true in
+      List.iter
+        (fun msg ->
+          let b = Bytes.of_string msg in
+          Net.write_all proc c b ~pos:0 ~len:(Bytes.length b);
+          let back = Bytes.create (Bytes.length b) in
+          let rec fill pos =
+            if pos < Bytes.length back then begin
+              let n = Net.read proc c back ~pos ~len:(Bytes.length back - pos) in
+              if n = 0 then ok := false else fill (pos + n)
+            end
+          in
+          fill 0;
+          if not (Bytes.equal back b) then ok := false)
+        [ "ping"; "pong" ];
+      Net.close proc c;
+      ignore (Pthread.join proc server);
+      Net.close_listener proc l;
+      if !ok then 0 else 1)
+
+let test_dpor_net_echo_exhausts () =
+  let r = E.run ~config:{ E.default_config with max_runs = 5_000 } echo_2msg in
+  safe "1-client 2-message echo" r;
+  check bool
+    (Printf.sprintf "exhausted within 5000 runs (%d)" r.stats.runs)
+    true (r.stats.runs <= 5_000)
+
 (* Satellite fix: a truncated exploration reports what was left, instead
    of just clearing [complete]. *)
 let test_budget_exhaustion_reported () =
@@ -363,6 +459,9 @@ let suite =
         tc "parallel rejects domains < 1" test_parallel_rejects_bad_domains;
         tc "reduction reaches every final state (differential)"
           test_parallel_covers_all_final_states;
+        tc "Net pipe: DPOR reaches every final state (differential)"
+          test_dpor_net_pipe_differential;
+        tc "Net echo, 1 client x 2 messages: exhaustive" test_dpor_net_echo_exhausts;
         tc "run budget exhaustion is structured" test_budget_exhaustion_reported;
         tc "step budget cuts are counted" test_step_budget_cut_reported;
       ] );

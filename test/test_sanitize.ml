@@ -268,6 +268,46 @@ let test_hb_cond_message () =
       ignore (Pthread.join proc producer);
       0)
 
+(* A byte through a Net pipe is a happens-before edge: the producer's
+   write before [Net.write] is ordered before the consumer's read after
+   its [Net.read] returns.  Without the transfer the same two accesses
+   are unordered, and reported. *)
+let pipe_handoff ~transfer proc =
+  let l = Net.listen proc ~port:0 () in
+  let c = Net.connect proc ~port:(Net.port proc l) in
+  let s = Net.accept proc l in
+  let data = ref 0 in
+  let consumer =
+    Pthread.create proc (fun () ->
+        if transfer then
+          ignore (Net.read proc s (Bytes.create 1) ~pos:0 ~len:1 : int);
+        Check.Explore.touch_read proc 1;
+        if !data = 41 then 1 else 0)
+  in
+  let producer =
+    Pthread.create proc (fun () ->
+        Check.Explore.touch_write proc 1;
+        data := 42;
+        if transfer then Net.write_all proc c (Bytes.make 1 'x') ~pos:0 ~len:1;
+        0)
+  in
+  ignore (Pthread.join proc consumer);
+  ignore (Pthread.join proc producer);
+  Net.close proc c;
+  Net.close proc s;
+  Net.close_listener proc l;
+  0
+
+let test_hb_net_pipe () =
+  clean_prog "Net pipe message passing" (pipe_handoff ~transfer:true);
+  let r, stop =
+    Monitor.observe
+      ~mk:(fun () -> Pthread.make_proc (pipe_handoff ~transfer:false))
+      ()
+  in
+  check bool "untransferred run completes" true (stop = None);
+  check int "without the transfer: one race" 1 (List.length r.Report.races)
+
 (* ------------------------------------------------------------------ *)
 (* Rwlocks and semaphores in the lock-order graph                      *)
 (* ------------------------------------------------------------------ *)
@@ -476,6 +516,7 @@ let suite =
         tc "hb: mutex protection" test_hb_mutex;
         tc "hb: create/join" test_hb_create_join;
         tc "hb: cond message passing" test_hb_cond_message;
+        tc "hb: Net pipe message passing" test_hb_net_pipe;
         tc "rwlock write inversion" test_rwlock_write_cycle;
         tc "rwlock read inversion filtered" test_rwlock_read_no_cycle;
         tc "semaphore rendezvous clean" test_sem_rendezvous_clean;

@@ -126,4 +126,16 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# 10. One I/O wait for Net.  Both transports block on the engine: a
+#     pipe or listener is plain data under the kernel flag with its own
+#     I/O wait (Engine.io_block), and a socket's fired watch wakes its
+#     thread directly.  No library mutex/cond layer and no SIGIO sigwait
+#     loop may grow back in lib/pthreads/net.ml.
+hits=$(grep -nE '\b(Mutex|Cond|Signal_api)\.' lib/pthreads/net.ml)
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: Mutex./Cond./Signal_api. in lib/pthreads/net.ml — block with Engine.io_block / wake with Engine.io_wake_*" >&2
+  fail=1
+fi
+
 exit $fail
