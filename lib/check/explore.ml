@@ -82,11 +82,11 @@ let touch_write eng id = Engine.touch_rw eng (Engine.key_user id) ~write:true
 (* Executing one run                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A run is a fresh engine driven to completion with an exploration hook
-   choosing at every scheduling point.  The recorded steps double as the
-   schedule (the chosen tids) and as the dependence trace (the footprints):
-   keys touched between decision [k] and decision [k+1] belong to step
-   [k]. *)
+(* A run is a fresh engine driven to completion with the explorer's
+   chooser deciding at every scheduling point.  The recorded steps double
+   as the schedule (the chosen tids) and as the dependence trace (the
+   footprints): keys touched between decision [k] and decision [k+1]
+   belong to step [k]. *)
 
 type step = {
   st_enabled : int list;  (** ready tids at this point, creation order *)
@@ -150,7 +150,11 @@ let exec ~(mk : unit -> engine) ~(cfg : config) ~(pick : pick_ctx -> int) () =
   Engine.subscribe eng (function
     | Touch k | San_access { a_key = k; _ } -> touched := k :: !touched
     | _ -> ());
-  let hook (cands : tcb list) =
+  (* Every kernel exit and checkpoint requeues the running thread (in
+     any bucket: the pick ignores priority), and every pick chooses among
+     all ready threads — interleavings the dispatcher never produces. *)
+  let ch_requeue point _ = if point = At_mutex_acquired then -1 else min_prio in
+  let decide eng n =
     (* close the previous step: its footprint is everything touched since *)
     let foot = take_touched () in
     (match !steps with
@@ -166,7 +170,7 @@ let exec ~(mk : unit -> engine) ~(cfg : config) ~(pick : pick_ctx -> int) () =
     | Some v -> raise (Abort_run (Invariant_violated v))
     | None -> ());
     if !depth >= cfg.max_steps then raise Too_deep;
-    let enabled = List.map (fun t -> t.tid) cands in
+    let enabled = List.init n (fun i -> (Engine.ready_at eng i).tid) in
     let ctx =
       {
         pc_k = !depth;
@@ -182,11 +186,17 @@ let exec ~(mk : unit -> engine) ~(cfg : config) ~(pick : pick_ctx -> int) () =
     incr depth;
     prev_tid := Some chosen;
     steps := { st_enabled = enabled; st_chosen = chosen; st_foot = [] } :: !steps;
-    match List.find_opt (fun t -> t.tid = chosen) cands with
-    | Some t -> t
-    | None -> invalid_arg "Explore: picked a tid that is not enabled"
+    match Engine.find_thread eng chosen with
+    | Some t when t.state = Ready ->
+        if Engine.tracing eng then
+          Engine.trace eng t (Vm.Trace.Sched_decision (enabled, chosen));
+        t
+    | _ -> invalid_arg "Explore: picked a tid that is not enabled"
   in
-  Engine.set_explore_hook eng (Some hook);
+  let ch_pick eng =
+    match Engine.ready_view eng with 0 -> nil_tcb | n -> decide eng n
+  in
+  Engine.set_chooser eng (Some { ch_requeue; ch_pick });
   let finish () =
     let foot = take_touched () in
     (match !steps with

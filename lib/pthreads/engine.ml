@@ -42,6 +42,16 @@ let rec emit ev = function
       f ev;
       emit ev rest
 
+(* Requeue the running thread at the tail of bucket [level] and request
+   a dispatch: yield, a time slice, a chooser's switch, a forced
+   preemption. *)
+let requeue_current eng level =
+  let cur = eng.current in
+  cur.state <- Ready;
+  Wait_queue.push_tail_at eng.ready cur level;
+  trace eng cur Trace.Ready;
+  eng.dispatcher_flag <- true
+
 let charge eng n = Unix_kernel.insns eng.vm n
 let now eng = Unix_kernel.now eng.vm
 let current eng = eng.current
@@ -88,25 +98,8 @@ let key_to_string k =
   | 8 -> Printf.sprintf "io:%d" id
   | _ -> Printf.sprintf "key:%x" k
 
-let key_of_string s =
-  match String.index_opt s ':' with
-  | None -> None
-  | Some i -> (
-      let id = int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) in
-      match (String.sub s 0 i, id) with
-      | "mutex", Some id -> Some (key_mutex id)
-      | "cond", Some id -> Some (key_cond id)
-      | "thread", Some id -> Some (key_thread id)
-      | "signal", Some id -> Some (key_signal id)
-      | "user", Some id -> Some (key_user id)
-      | "lock", Some id -> Some (key_lock id)
-      | "sem", Some id -> Some (key_sem id)
-      | "io", Some id -> Some (key_io id)
-      | _ -> None)
-
-let exploring eng = eng.explore_hook <> None
-
-let set_explore_hook eng h = eng.explore_hook <- h
+let set_chooser eng c = eng.chooser <- c
+let has_chooser eng = eng.chooser <> None
 
 let touch eng key =
   match eng.probes with [] -> () | ps -> emit (Touch key) ps
@@ -207,7 +200,21 @@ let fold_threads eng f acc =
   go acc eng.threads.tt_head
 
 let thread_list eng = List.rev (fold_threads eng (fun acc t -> t :: acc) [])
-let thread_count eng = eng.threads.tt_count
+
+(* The chooser's view of the ready set, in creation order (the order the
+   explorer's schedules are written in), copied into the engine's
+   reusable array: no list is built per pick. *)
+let rec fill_ready_view eng n = function
+  | None -> n
+  | Some t when t.state <> Ready -> fill_ready_view eng n t.at_next
+  | Some t ->
+      if n = Array.length eng.ready_view then
+        eng.ready_view <- Array.append eng.ready_view (Array.make (n + 8) nil_tcb);
+      eng.ready_view.(n) <- t;
+      fill_ready_view eng (n + 1) t.at_next
+
+let ready_view eng = fill_ready_view eng 0 eng.threads.tt_head
+let ready_at eng i = eng.ready_view.(i)
 
 (* ------------------------------------------------------------------ *)
 (* The object census: every mutex and cond in creation order, for the  *)
@@ -594,10 +601,7 @@ and act_on eng t s code origin =
              with a per-thread FIFO policy are exempt).  A slice SIGALRM can
              have absorbed a timed-wait wakeup (one pending slot per
              signal), so it too is a demultiplexing point. *)
-          t.state <- Ready;
-          Wait_queue.push_tail eng.ready t;
-          trace eng t Trace.Ready;
-          eng.dispatcher_flag <- true;
+          requeue_current eng t.prio;
           wake_expired_sleepers eng
       | Unix_kernel.Slice, _ -> wake_expired_sleepers eng
       | _, Blocked (On_sigwait set) when Sigset.mem set s ->
@@ -620,12 +624,13 @@ and act_on eng t s code origin =
          share one (non-queuing) SIGIO, so a woken waiter re-checks its own
          completion state.  The kernel records which requester each
          completion belongs to, so the doorbell wakes exactly the
-         [aio_read] sigwaiters that have a completion to collect (in tid
-         order, as an all-threads scan would visit them) instead of every
-         SIGIO sigwaiter.  [Net] does not wait here: its sockets block in
-         [On_io] and are woken by [wake_io_ready].  A doorbell with no
-         completed sigwaiter still falls back to the full scan, so plain
-         sigwait(SIGIO) users keep the old wakeup. *)
+         [aio_read] sigwaiters that have a completion to collect (in
+         completion order, so same-priority readers run in the order
+         their I/O finished) instead of every SIGIO sigwaiter.  [Net]
+         does not wait here: its sockets block in [On_io] and are woken
+         by [wake_io_ready].  A doorbell with no completed sigwaiter still
+         falls back to the full scan, so plain sigwait(SIGIO) users keep
+         the old wakeup. *)
       let woke_any = ref false in
       let wake_waiter w =
         match w.state with
@@ -850,69 +855,53 @@ and switch_out eng =
   Effect.perform Suspend
 
 (* ------------------------------------------------------------------ *)
-(* Monolithic monitor entry/exit, perverted scheduling                  *)
+(* Monolithic monitor entry/exit, the chooser                         *)
 (* ------------------------------------------------------------------ *)
 
 let enter_kernel eng =
   charge eng Costs.kernel_enter;
   set_kernel_flag eng true
 
-(* Fired at the points the explorer treats as decisions (every kernel
-   exit and every checkpoint outside the kernel), in a thread only.  A
-   subscriber only mutates state and sets [dispatcher_flag]; the
-   enclosing point performs any switch it requested. *)
-let decision_point eng =
-  match eng.probes with
-  | _ :: _ as ps when eng.in_fiber -> emit Decision ps
-  | _ -> ()
+let can_give_way eng =
+  eng.current.state = Running && eng.in_fiber && eng.live_count > 1
 
-let apply_perversion eng =
-  let cur = eng.current in
-  if cur.state = Running && eng.in_fiber && eng.live_count > 1 then
-    if eng.explore_hook <> None then begin
-      (* exploration: every kernel exit / checkpoint is a decision point —
-         the running thread is requeued unconditionally and the explorer's
-         pick in the scheduler loop decides who runs next (the bucket it
-         parks in is irrelevant: the pick ignores priority) *)
-      cur.state <- Ready;
-      Wait_queue.push_tail_at eng.ready cur min_prio;
-      trace eng cur Trace.Ready;
-      eng.dispatcher_flag <- true
-    end
-    else
-      match eng.cfg.perverted with
-      | No_perversion | Mutex_switch -> ()
-      | Rr_ordered_switch ->
-          cur.state <- Ready;
-          Wait_queue.push_tail_at eng.ready cur min_prio;
-          trace eng cur Trace.Ready;
-          eng.dispatcher_flag <- true
-      | Random_switch ->
-          if Rng.bool eng.rng then begin
-            cur.state <- Ready;
-            Wait_queue.push_tail_at eng.ready cur min_prio;
-            trace eng cur Trace.Ready;
-            eng.pick_random_next <- true;
-            eng.dispatcher_flag <- true
-          end
+(* Every kernel exit and every checkpoint outside the kernel.  [Decision]
+   subscribers run first, in a thread only: they only mutate state and
+   set [dispatcher_flag], and the enclosing point performs any switch
+   requested.  The chooser is asked only when the running thread could
+   give way, so a policy that draws random numbers draws them at exactly
+   these points. *)
+let decision_point eng point =
+  (match eng.probes with
+  | _ :: _ as ps when eng.in_fiber -> emit Decision ps
+  | _ -> ());
+  match eng.chooser with
+  | Some c when can_give_way eng ->
+      let level = c.ch_requeue point eng.current in
+      if level >= 0 then requeue_current eng level
+  | _ -> ()
 
 let leave_kernel eng =
   charge eng Costs.kernel_exit;
-  decision_point eng;
-  apply_perversion eng;
+  decision_point eng At_kernel_exit;
   if eng.dispatcher_flag then ignore (dispatch eng : wake)
   else set_kernel_flag eng false
 
 let block eng = dispatch eng
 
-let force_switch eng =
-  let cur = eng.current in
-  if cur.state = Running && eng.live_count > 1 then begin
-    cur.state <- Ready;
-    Wait_queue.push_tail eng.ready cur;
-    trace eng cur Trace.Ready;
-    eng.dispatcher_flag <- true
-  end
+(* A successful lock.  A chooser that wants a switch here gets a kernel
+   round trip, whose exit performs it; the round trip is paid even when
+   the thread has nobody to give way to. *)
+let mutex_acquired eng =
+  match eng.chooser with
+  | None -> ()
+  | Some c ->
+      let level = c.ch_requeue At_mutex_acquired eng.current in
+      if level >= 0 then begin
+        enter_kernel eng;
+        if can_give_way eng then requeue_current eng level;
+        leave_kernel eng
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Fake calls                                                          *)
@@ -952,11 +941,10 @@ let checkpoint eng =
   | Some r -> raise (Process_stopped r)
   | None -> ());
   (* Checkpoints model the instruction boundaries at which the paper's
-     implementation could leave the kernel, so the perverted reordering
-     policies hook here as well — otherwise programs that stay on the
-     kernel-free fast paths would never be perturbed. *)
-  if not eng.kernel_flag then decision_point eng;
-  if not eng.kernel_flag then apply_perversion eng;
+     implementation could leave the kernel, so the chooser is consulted
+     here as well — otherwise programs that stay on the kernel-free fast
+     paths would never be perturbed. *)
+  if not eng.kernel_flag then decision_point eng At_checkpoint;
   if eng.dispatcher_flag && not eng.kernel_flag then begin
     set_kernel_flag eng true;
     charge eng Costs.kernel_enter;
@@ -1028,11 +1016,7 @@ let io_wake_all eng w =
 let yield eng =
   checkpoint eng;
   enter_kernel eng;
-  let cur = eng.current in
-  cur.state <- Ready;
-  Wait_queue.push_tail eng.ready cur;
-  trace eng cur Trace.Ready;
-  eng.dispatcher_flag <- true;
+  requeue_current eng eng.current.prio;
   ignore (dispatch eng : wake);
   drain_fake_calls eng
 
@@ -1197,43 +1181,12 @@ let run_scheduler eng =
       if eng.stop_reason <> None then ()
       else begin
         let next =
-          match eng.explore_hook with
-          | Some choose -> (
-              (* exploration pick: candidates are every ready thread, in
-                 creation order; the hook chooses (and may abort the whole
-                 run by raising).  Priorities are deliberately ignored —
-                 the explorer enumerates interleavings the dispatcher
-                 would never produce on its own. *)
-              let candidates =
-                List.rev
-                  (fold_threads eng
-                     (fun acc t -> if t.state = Ready then t :: acc else acc)
-                     [])
-              in
-              match candidates with
-              | [] -> nil_tcb
-              | cs ->
-                  let t = choose cs in
-                  Wait_queue.remove eng.ready t;
-                  if tracing eng then
-                    trace eng t
-                      (Trace.Sched_decision
-                         (List.map (fun c -> c.tid) cs, t.tid));
-                  t)
-          | None ->
-              if eng.pick_random_next then begin
-                eng.pick_random_next <- false;
-                match Wait_queue.pop_random eng.ready eng.rng with
-                | Some t -> t
-                | None -> nil_tcb
-              end
-              else begin
-                let t = Wait_queue.peek_highest eng.ready in
-                if t != nil_tcb then Wait_queue.remove eng.ready t;
-                t
-              end
+          match eng.chooser with
+          | None -> Wait_queue.peek_highest eng.ready
+          | Some c -> c.ch_pick eng
         in
         if next != nil_tcb then begin
+          Wait_queue.remove eng.ready next;
           resume_thread eng next;
           loop ()
         end
@@ -1305,10 +1258,7 @@ let inject_preempt eng =
   if cur.state = Running && eng.live_count > 1 then begin
     note_fault eng;
     trace eng cur (Trace.Note "fault: forced preemption");
-    cur.state <- Ready;
-    Wait_queue.push_tail_at eng.ready cur min_prio;
-    trace eng cur Trace.Ready;
-    eng.dispatcher_flag <- true
+    requeue_current eng min_prio
   end
 
 let inject_wakeup eng t =
@@ -1344,6 +1294,31 @@ let inject_clock_jump eng ~ns =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* The paper's debugging policies ("Perverted Scheduling") as choosers.
+   The mutex switch requeues the locker in its own bucket; the other two
+   demote the runner to the lowest one, and the random switch picks
+   uniformly only right after its own coin sent the runner away. *)
+let highest_ready eng = Wait_queue.peek_highest eng.ready
+
+let perverted_chooser rng = function
+  | No_perversion -> None
+  | Mutex_switch ->
+      let ch_requeue point cur = if point = At_mutex_acquired then cur.prio else -1 in
+      Some { ch_requeue; ch_pick = highest_ready }
+  | Rr_ordered_switch ->
+      let ch_requeue point _ = if point = At_mutex_acquired then -1 else min_prio in
+      Some { ch_requeue; ch_pick = highest_ready }
+  | Random_switch ->
+      let coin = ref false in
+      let ch_requeue point _ =
+        if point <> At_mutex_acquired && Rng.bool rng then (coin := true; min_prio)
+        else -1
+      and ch_pick eng =
+        if not !coin then highest_ready eng
+        else (coin := false; Wait_queue.random_member eng.ready rng)
+      in
+      Some { ch_requeue; ch_pick }
 
 let make ?clock ?backend cfg ~main =
   let backend =
@@ -1390,7 +1365,6 @@ let make ?clock ?backend cfg ~main =
       next_obj = 1;
       actions;
       proc_pending = [];
-      pick_random_next = false;
       live_count = 1;
       n_switches = 0;
       n_dispatches = 0;
@@ -1401,7 +1375,8 @@ let make ?clock ?backend cfg ~main =
       stop_reason = None;
       in_fiber = false;
       probes = [];
-      explore_hook = None;
+      chooser = perverted_chooser rng cfg.perverted;
+      ready_view = [||];
       census_mutexes = nil_mutex;
       census_mutexes_last = nil_mutex;
       census_conds = nil_cond;

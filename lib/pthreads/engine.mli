@@ -23,8 +23,9 @@ open Types
 val make :
   ?clock:Vm.Clock.t -> ?backend:Vm.Backend.t -> config -> main:(unit -> int) -> engine
 (** Build a simulated process whose main thread (tid 0) will run [main].
-    Installs the universal signal handler for all maskable signals and, for
-    a round-robin policy, arms the time-slice interval timer.  [clock] lets
+    Installs the universal signal handler for all maskable signals, the
+    chooser of [cfg.perverted] (none for [No_perversion]) and, for a
+    round-robin policy, arms the time-slice interval timer.  [clock] lets
     several processes of one [Machine] share a time line.  [backend]
     selects the event source (default: the deterministic virtual backend,
     [Vm.Backend.virtual_]); when given, [clock] is ignored — the backend
@@ -41,8 +42,8 @@ val default_config : Vm.Cost_model.profile -> config
 
 val enter_kernel : engine -> unit
 val leave_kernel : engine -> unit
-(** Reset the kernel flag, or invoke the dispatcher when the dispatcher flag
-    was set; applies the perverted scheduling hook. *)
+(** Consult the chooser ([At_kernel_exit]), then reset the kernel flag,
+    or invoke the dispatcher when the dispatcher flag was set. *)
 
 val block : engine -> wake
 (** Give up the processor.  The caller must hold the kernel flag, have set
@@ -58,10 +59,11 @@ val yield : engine -> unit
 (** Reposition the current thread at the tail of its priority queue and
     dispatch (the Table 2 "thread context switch (yield)" operation). *)
 
-val force_switch : engine -> unit
-(** Perverted mutex-switch hook: requeue the current thread at the tail of
-    its own priority queue and request dispatch.  Must be called inside the
-    kernel. *)
+val mutex_acquired : engine -> unit
+(** Called by [Mutex] after every successful lock, outside the kernel:
+    consults the chooser ([At_mutex_acquired]).  When it names a bucket,
+    the thread takes a kernel round trip and, if another thread is live,
+    is requeued there and switched out at the exit. *)
 
 (** {1 Threads} *)
 
@@ -80,9 +82,6 @@ val iter_threads : engine -> (tcb -> unit) -> unit
 val fold_threads : engine -> ('a -> tcb -> 'a) -> 'a -> 'a
 val thread_list : engine -> tcb list
 (** Materialized snapshot in creation order (debugger-grade, allocates). *)
-
-val thread_count : engine -> int
-(** Registered (live or unjoined) threads, O(1). *)
 
 val census_add_mutex : engine -> mutex -> unit
 val census_add_cond : engine -> cond -> unit
@@ -239,22 +238,27 @@ val unsubscribe : engine -> (probe -> unit) -> unit
 (** Remove the first subscriber physically equal to the given function
     (no-op when absent); other subscribers keep firing. *)
 
-(** {1 Schedule exploration}
+(** {1 The chooser and schedule exploration}
 
-    Support for the [Check.Explore] model checker: an exploration hook
-    replaces the dispatcher's priority-based pick with an arbitrary choice
-    among the ready threads, and [touch] lets synchronization modules
-    report which objects each step accessed (the footprints that drive
-    partial-order reduction, delivered as {!Types.Touch} probe events). *)
+    [touch] lets synchronization modules report which objects each step
+    accessed (the footprints that drive the [Check.Explore] model
+    checker's partial-order reduction, as {!Types.Touch} probe events). *)
 
-val set_explore_hook : engine -> (tcb list -> tcb) option -> unit
-(** Install (or clear) the exploration chooser.  While set: every kernel
-    exit and checkpoint requeues the running thread, and every scheduler
-    pick calls the hook with the ready threads in creation order.  The hook
-    returns the thread to run next; it may abort the run by raising (the
-    exception propagates out of [run_scheduler]). *)
+val set_chooser : engine -> chooser option -> unit
+(** Install (or clear) the one chooser slot; the last chooser installed
+    wins ([make] installs [cfg.perverted]'s, the explorer replaces it).
+    [ch_requeue] runs at every kernel exit and checkpoint where the
+    running thread could give way (it runs in a thread and another is
+    live), and after every successful lock; [ch_pick] at every scheduler
+    pick.  Either may abort the run by raising out of [run_scheduler]. *)
 
-val exploring : engine -> bool
+val has_chooser : engine -> bool
+
+val ready_view : engine -> int
+(** Copy the ready threads, in creation order, into the engine's reusable
+    array and return their count; {!ready_at}[ eng i] reads the [i]th. *)
+
+val ready_at : engine -> int -> tcb
 
 val touch : engine -> int -> unit
 (** Report that the current step accessed the object with the given key
@@ -275,7 +279,7 @@ val key_signal : int -> int
 
 val inject_preempt : engine -> unit
 (** Force a context switch: requeue the running thread at the tail of the
-    lowest priority bucket (as the perverted policies do) and request
+    lowest priority bucket (as the perverted choosers do) and request
     dispatch.  Safe to call from the fault hook, outside the kernel. *)
 
 val inject_wakeup : engine -> tcb -> unit
@@ -325,9 +329,6 @@ val key_kind : int -> int
     4 = signal, 5 = user, 6 = lock, 7 = sem, 8 = io). *)
 
 val key_to_string : int -> string
-
-val key_of_string : string -> int option
-(** Inverse of {!key_to_string} for the kinds it prints symbolically. *)
 
 (** {1:san Sanitizer events}
 

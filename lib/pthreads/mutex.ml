@@ -84,12 +84,7 @@ let on_acquired eng m =
       if m.m_ceiling > self.prio then
         Engine.set_effective_prio eng self m.m_ceiling ~at_head:true
   | Inherit_protocol | No_protocol -> ());
-  if eng.cfg.perverted = Mutex_switch then begin
-    (* perverted policy: force a context switch on each successful lock *)
-    Engine.enter_kernel eng;
-    Engine.force_switch eng;
-    Engine.leave_kernel eng
-  end
+  Engine.mutex_acquired eng
 
 (* inheritance: boost the owner (and transitively whoever blocks it) *)
 let boost_owner eng m self =

@@ -116,14 +116,19 @@ let vpipe_close eng p =
 
 (* A would-block op registers a one-shot watch for this thread and blocks
    until the backend's poll fires it (or a handler interrupts the wait),
-   then retries: a spurious wake only costs a retry. *)
+   then retries: a spurious wake only costs a retry, and the next watch
+   replaces one that did not fire.  A cancelled wait drops its watch. *)
 let rec unix_retry eng (net : Backend.net_ops) handle dir op =
   match op () with
   | Some v -> v
   | None ->
-      net.Backend.net_watch handle dir ~requester:(Engine.current eng).tid;
+      let self = (Engine.current eng).tid in
+      net.Backend.net_watch handle dir ~requester:self;
       Engine.enter_kernel eng;
-      Engine.io_block eng (Lazy.force (state eng).sock_io);
+      (try Engine.io_block eng (Lazy.force (state eng).sock_io)
+       with e ->
+         net.Backend.net_unwatch ~requester:self;
+         raise e);
       leave eng;
       unix_retry eng net handle dir op
 

@@ -412,6 +412,9 @@ type ext = ..
 
 type ext += Ext_none
 
+(** Where the engine consults its chooser (see {!chooser}). *)
+type choice_point = At_kernel_exit | At_checkpoint | At_mutex_acquired
+
 type engine = {
   vm : Unix_kernel.t;
       (** The kernel state machine — always [backend.kernel]; kept as a
@@ -438,8 +441,6 @@ type engine = {
   actions : action array;
   mutable proc_pending : pending_sig list;
       (** rule 6: no eligible thread; newest first, reversed when drained *)
-  mutable pick_random_next : bool;
-      (** perverted random switch: next dispatch picks uniformly *)
   mutable live_count : int;
   mutable n_switches : int;
   mutable n_dispatches : int;  (** monotone count of thread resumptions *)
@@ -452,12 +453,12 @@ type engine = {
   mutable probes : (probe -> unit) list;
       (** the probe's subscribers, in registration order (see
           [Engine.subscribe]); [[]] on every run nobody observes *)
-  mutable explore_hook : (tcb list -> tcb) option;
-      (** installed by the schedule explorer ([Check.Explore]): when set,
-          the dispatcher requeues the running thread at every kernel exit /
-          checkpoint and asks the hook to choose among the enabled (ready)
-          threads, given in creation order.  The hook may abort the run by
-          raising. *)
+  mutable chooser : chooser option;
+      (** the one scheduling decision slot: a perverted policy installed
+          by [Engine.make], or the explorer's ([Engine.set_chooser]);
+          [None] on every run that schedules by priority alone *)
+  mutable ready_view : tcb array;
+      (** reusable buffer behind [Engine.ready_view] *)
   mutable census_mutexes : mutex;
       (** oldest mutex of the invariant checker's census (intrusive
           through [m_census_next], creation order; [nil_mutex] when
@@ -478,6 +479,16 @@ type engine = {
   fiber_handler : (unit, unit) Effect.Deep.handler;
       (** the [Suspend] handler every thread's fiber runs under, built once
           per engine (it stores the continuation on [current]) *)
+}
+
+(** Who runs next, decided in one place (the perverted policies, the
+    model checker).  [ch_requeue] names the bucket to requeue the running
+    thread at, or a negative number to keep it running; [ch_pick] returns
+    the next thread, left in [ready] ([nil_tcb] when it is empty).  See
+    [Engine.set_chooser]. *)
+and chooser = {
+  ch_requeue : choice_point -> tcb -> int;
+  ch_pick : engine -> tcb;
 }
 
 (** The single scheduling effect: performed by a thread to return control to

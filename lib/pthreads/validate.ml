@@ -27,13 +27,13 @@ let check_dispatch mon t =
     report mon "state" (t.tname ^ " dispatched while " ^ state_name t.state);
   if eng.kernel_flag then
     report mon "monitor" "kernel flag held across a context switch";
-  (match (eng.cfg.perverted, Wait_queue.highest_prio eng.ready) with
-  | No_perversion, p when p > t.prio && not (Engine.exploring eng) ->
-      (* the explorer deliberately dispatches out of priority order *)
-      report mon "priority"
-        (Printf.sprintf "%s (prio %d) dispatched while a ready thread has %d"
-           t.tname t.prio p)
-  | _ -> ());
+  (* a chooser (a perverted policy, the explorer) deliberately dispatches
+     out of priority order *)
+  let p = Wait_queue.highest_prio eng.ready in
+  if p > t.prio && not (Engine.has_chooser eng) then
+    report mon "priority"
+      (Printf.sprintf "%s (prio %d) dispatched while a ready thread has %d"
+         t.tname t.prio p);
   (* mutex record consistency for every thread's held mutexes *)
   Engine.iter_threads eng (fun th ->
       List.iter

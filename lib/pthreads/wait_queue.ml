@@ -110,30 +110,14 @@ let pop_highest q =
 (* One O(n) walk: levels top-down, counting until the chosen index — the
    order the old list implementation counted in, so identical seeds pick
    identical threads. *)
-let pop_random q rng =
-  let n = q.pq_size in
-  if n = 0 then None
-  else begin
-    let idx = Vm.Rng.int rng n in
-    let found = ref None in
-    let seen = ref 0 in
-    let p = ref max_prio in
-    while !found = None && !p >= min_prio do
-      let l = q.pq_levels.(!p) in
-      if idx < !seen + l.lv_len then begin
-        let t = ref l.lv_head in
-        for _ = 1 to idx - !seen do
-          t := !t.q_next
-        done;
-        assert (!t != nil_tcb);
-        remove q !t;
-        found := Some !t
-      end
-      else seen := !seen + l.lv_len;
-      decr p
-    done;
-    !found
-  end
+let rec nth_from t i = if i = 0 then t else nth_from t.q_next (i - 1)
+
+let rec nth_at q p idx =
+  let l = q.pq_levels.(p) in
+  if idx < l.lv_len then nth_from l.lv_head idx else nth_at q (p - 1) (idx - l.lv_len)
+
+let random_member q rng =
+  if q.pq_size = 0 then nil_tcb else nth_at q max_prio (Vm.Rng.int rng q.pq_size)
 
 (* Relink after [t.prio] changed from [old_prio] (already updated on the
    TCB).  Reproduces what [List.stable_sort] on a priority-sorted list did:

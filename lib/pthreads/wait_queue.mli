@@ -41,9 +41,9 @@ val peek_highest : pq -> tcb
     the queue is empty (a sentinel, not an option: the dispatcher and the
     wake paths ask on every switch). *)
 
-val pop_random : pq -> Vm.Rng.t -> tcb option
-(** Dequeue a uniformly random member (the perverted random policy's
-    switch on [engine.ready]); [None] when empty.  Counts members in
+val random_member : pq -> Vm.Rng.t -> tcb
+(** A uniformly random member, left queued (the perverted random policy's
+    pick on [engine.ready]); [nil_tcb] when empty.  Counts members in
     {!iter} order, so a seed always picks the same thread. *)
 
 val highest_prio : pq -> int

@@ -8,6 +8,7 @@ type net_ops = {
   net_read : int -> bytes -> pos:int -> len:int -> int option;
   net_write : int -> bytes -> pos:int -> len:int -> int option;
   net_watch : int -> [ `Read | `Write ] -> requester:int -> unit;
+  net_unwatch : requester:int -> unit;
   net_close : int -> unit;
 }
 

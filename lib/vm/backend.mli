@@ -52,7 +52,12 @@ type net_ops = {
   net_write : int -> bytes -> pos:int -> len:int -> int option;
   net_watch : int -> [ `Read | `Write ] -> requester:int -> unit;
       (** One-shot: when the handle becomes ready, record [requester]
-          with {!Unix_kernel.record_io_ready} (no signal is posted). *)
+          with {!Unix_kernel.record_io_ready} (no signal is posted).  A
+          requester has at most one watch: a new one replaces it. *)
+  net_unwatch : requester:int -> unit;
+      (** Drop the requester's watch, if it has not fired: its wait ended
+          another way (cancellation), and a watch nobody waits for must
+          not keep an idle [wait] from reporting deadlock. *)
   net_close : int -> unit;
 }
 

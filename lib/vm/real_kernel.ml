@@ -194,6 +194,10 @@ let wait t ~deadline_ns =
           true
   end
 
+let unwatch t requester =
+  t.watches <- List.filter (fun w -> w.requester <> requester) t.watches;
+  t.cache_ok <- false
+
 let net_ops t =
   let close_handle h =
     match Hashtbl.find_opt t.fds h with
@@ -256,8 +260,9 @@ let net_ops t =
     net_watch =
       (fun h dir ~requester ->
         ignore (fd_of t h);
-        t.watches <- { handle = h; dir; requester } :: t.watches;
-        t.cache_ok <- false);
+        unwatch t requester;
+        t.watches <- { handle = h; dir; requester } :: t.watches);
+    net_unwatch = (fun ~requester -> unwatch t requester);
     net_close = close_handle;
   }
 

@@ -73,10 +73,11 @@ type t = {
   timers : origin Timer_wheel.t;
   fire_timer : timer -> unit;  (* built once: [check_events] runs per checkpoint *)
   mutable io_queue : io_req list;
-  (* Earliest [complete_at] in [io_queue] ([max_int] when empty), so
-     [check_events] can skip the completion scan when nothing is due. *)
-  mutable io_next : int;
-  io_completions : (int, int) Hashtbl.t;  (* requester -> unconsumed count *)
+      (* in flight, in (complete_at, submission) order: the due ones are
+         a prefix, and the head is the next completion *)
+  mutable io_done : int list;
+      (* requesters of unconsumed completions, one per completion, in
+         the same order *)
   mutable io_ready : int list;
       (* requesters of fired readiness watches, newest first; no signal *)
   traps_by_sys : int array;  (* indexed by [syscall_index] *)
@@ -110,7 +111,6 @@ let create ?clock prof =
   let pending_code = Array.make (Sigset.max_signo + 1) 0 in
   let pending_origin = Array.make (Sigset.max_signo + 1) External in
   let timers = Timer_wheel.create External in
-  let io_completions = Hashtbl.create 8 in
   let traps_by_sys = Array.make (List.length all_syscalls) 0 in
   let rec t =
     {
@@ -126,8 +126,7 @@ let create ?clock prof =
       fire_timer =
         (fun tm -> post t (Timer_wheel.tag tm) 0 (Timer_wheel.payload tm));
       io_queue = [];
-      io_next = max_int;
-      io_completions;
+      io_done = [];
       io_ready = [];
       traps_by_sys;
       traps_total = 0;
@@ -286,9 +285,23 @@ let blocking_io_ns t = t.blocked_io_ns
 
 let submit_io t ~latency_ns ~requester =
   trap t Aioread;
-  let complete_at = now t + latency_ns in
-  t.io_queue <- { complete_at; requester } :: t.io_queue;
-  if complete_at < t.io_next then t.io_next <- complete_at
+  let io = { complete_at = now t + latency_ns; requester } in
+  let rec insert = function
+    | x :: rest when x.complete_at <= io.complete_at -> x :: insert rest
+    | l -> io :: l
+  in
+  t.io_queue <- insert t.io_queue
+
+(* Record each due completion, in order: SIGIO is only a doorbell (BSD
+   signals do not queue, so concurrent completions can share one). *)
+let rec complete_due t time =
+  match t.io_queue with
+  | io :: rest when io.complete_at <= time ->
+      t.io_queue <- rest;
+      t.io_done <- t.io_done @ [ io.requester ];
+      post_signal t Sigset.sigio ~origin:(Io io.requester) ();
+      complete_due t time
+  | _ -> ()
 
 let check_events t =
   let time = now t in
@@ -296,25 +309,7 @@ let check_events t =
      deterministic order the prepend-to-a-list representation could not
      give (it fired same-tick timers in reverse-arm order). *)
   Timer_wheel.advance t.timers ~now:time ~fire:t.fire_timer;
-  if t.io_next <= time then begin
-    let done_, waiting =
-      List.partition (fun io -> io.complete_at <= time) t.io_queue
-    in
-    List.iter
-      (fun io ->
-        (* record the completion: SIGIO is only a doorbell (BSD signals do
-           not queue, so concurrent completions can share one signal) *)
-        let prev =
-          Option.value ~default:0
-            (Hashtbl.find_opt t.io_completions io.requester)
-        in
-        Hashtbl.replace t.io_completions io.requester (prev + 1);
-        post_signal t Sigset.sigio ~origin:(Io io.requester) ())
-      done_;
-    t.io_queue <- waiting;
-    t.io_next <-
-      List.fold_left (fun acc io -> min acc io.complete_at) max_int waiting
-  end
+  complete_due t time
 
 let record_io_ready t ~requester = t.io_ready <- requester :: t.io_ready
 let has_io_ready t = t.io_ready <> []
@@ -328,24 +323,24 @@ let take_io_ready t =
       List.rev l
 
 let take_io_completion t ~requester =
-  match Hashtbl.find_opt t.io_completions requester with
-  | Some n when n > 0 ->
-      if n = 1 then Hashtbl.remove t.io_completions requester
-      else Hashtbl.replace t.io_completions requester (n - 1);
-      true
-  | Some _ | None -> false
+  let rec drop = function
+    | [] -> []
+    | r :: rest -> if r = requester then rest else r :: drop rest
+  in
+  List.mem requester t.io_done && (t.io_done <- drop t.io_done; true)
 
 let completion_requesters t =
-  Hashtbl.fold (fun tid n acc -> if n > 0 then tid :: acc else acc)
-    t.io_completions []
-  |> List.sort compare
+  List.fold_left (fun acc r -> if List.mem r acc then acc else acc @ [ r ]) [] t.io_done
 
 (* The wheel reports a bucket deadline — a lower bound that becomes exact
    once the nearest timer has cascaded to level 0.  Callers that advance
    the clock here and re-run [check_events] converge in at most
    [Timer_wheel.levels] refinements; the clock never overshoots a real
    event. *)
-let next_event_time t = min (Timer_wheel.next_expiry t.timers) t.io_next
+let next_event_time t =
+  match t.io_queue with
+  | io :: _ -> min (Timer_wheel.next_expiry t.timers) io.complete_at
+  | [] -> Timer_wheel.next_expiry t.timers
 
 (* Accounting --------------------------------------------------------- *)
 

@@ -205,10 +205,11 @@ val take_io_completion : t -> requester:int -> bool
     recorded here never collapse, only the doorbell does. *)
 
 val completion_requesters : t -> int list
-(** Requester tids with at least one unconsumed completion, in ascending
-    tid order (the same creation order an all-threads scan would visit).
-    Lets SIGIO delivery wake exactly the sigwaiting threads that have a
-    completion to collect instead of every SIGIO sigwaiter. *)
+(** Requester tids with at least one unconsumed completion, in the order
+    of their earliest one: by completion time, then submission.  Lets
+    SIGIO delivery wake exactly the sigwaiting threads that have a
+    completion to collect, in the order their I/O finished, instead of
+    every SIGIO sigwaiter. *)
 
 val check_events : t -> unit
 (** Post signals for any timers or I/O completions whose time has come.

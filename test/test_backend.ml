@@ -646,6 +646,44 @@ let test_unix_client_reset_mid_request () =
     true
     (got >= 0 && got <= half)
 
+(* Unix backend: a cancelled reader leaves no watch behind.  Main
+   cancels a thread blocked in [Net.read], then waits on a cond nobody
+   signals.  No host signal is forwarded and the connection stays idle,
+   so no event can ever arrive: the run must stop with [Deadlock], not
+   sleep in [ppoll] on the dead reader's watch. *)
+let test_unix_cancelled_reader_then_deadlock () =
+  let backend = Pthreads.unix_backend ~forward_signals:[] () in
+  let outcome =
+    within ~seconds:1. (fun () ->
+        match
+          Pthreads.run ~backend (fun proc ->
+              let lst = Net.listen proc ~port:0 () in
+              let _client = Net.connect proc ~port:(Net.port proc lst) in
+              let server = Net.accept proc lst in
+              let reader =
+                Pthread.create proc (fun () ->
+                    Net.read proc server (Bytes.create 16) ~pos:0 ~len:16)
+              in
+              while
+                not
+                  (match Pthread.state_of proc reader with
+                  | Some s -> String.starts_with ~prefix:"blocked-on-io" s
+                  | None -> false)
+              do
+                Pthread.yield proc
+              done;
+              Cancel.cancel proc reader;
+              ignore (Pthread.join proc reader);
+              let m = Mutex.create proc () and c = Cond.create proc () in
+              Mutex.lock proc m;
+              ignore (Cond.wait proc c m : Cond.wait_result);
+              0)
+        with
+        | _ -> "returned"
+        | exception Types.Process_stopped (Types.Deadlock _) -> "deadlock")
+  in
+  check string "stops with Deadlock" "deadlock" outcome
+
 (* [Pthreads.run ~backend] owns the backend: it is shut down exactly once
    however the run ends — main returns, the process deadlocks
    ([Process_stopped] still reaches the caller), or main raises (its
@@ -711,6 +749,8 @@ let suite =
             test_unix_delay_precision;
           tc "unix: client reset mid-request reads as end of stream"
             test_unix_client_reset_mid_request;
+          tc "unix: cancelled reader, then an unsignalled cond: deadlock"
+            test_unix_cancelled_reader_then_deadlock;
           tc "run shuts the backend down once on every exit"
             test_run_shuts_backend_down_once;
         ] );

@@ -197,7 +197,7 @@ let test_soak_finds_seeded_lost_wakeup () =
 
 let test_golden_fault_replays () =
   let text =
-    In_channel.with_open_text "golden/no_predicate_loop.fault"
+    In_channel.with_open_text (golden_path "no_predicate_loop.fault")
       In_channel.input_all
   in
   match Plan.of_string text with

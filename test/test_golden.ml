@@ -44,7 +44,7 @@ let test_deterministic_measures () =
    is stale. *)
 
 let replay_golden file (scenario : Check.Scenarios.t) expect =
-  match Check.Replay.of_file scenario.make ("golden/" ^ file) with
+  match Check.Replay.of_file scenario.make (golden_path file) with
   | Error e -> Alcotest.fail e
   | Ok r ->
       (match r.diverged_at with

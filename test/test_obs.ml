@@ -204,7 +204,8 @@ let small_events () =
 
 let test_golden_chrome_export () =
   let golden =
-    In_channel.with_open_text "golden/small.trace.json" In_channel.input_all
+    In_channel.with_open_text (golden_path "small.trace.json")
+      In_channel.input_all
   in
   let doc = Obs.Chrome_trace.export ~process_name:"small" (small_events ()) in
   check bool "golden parses" true (Result.is_ok (Json.parse golden));

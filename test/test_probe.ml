@@ -118,6 +118,70 @@ let test_hot_path_budgets () =
   if !over <> [] then
     Alcotest.failf "over budget: %s" (String.concat ", " (List.rev !over))
 
+(* Minor words per dispatch while four threads each pass [point] in a
+   loop, measured from main over 20,000 of its points in the steady
+   state.  [chooser], when given, is installed over whatever
+   [perverted] put in the slot. *)
+let words_per_dispatch ?perverted ?chooser point =
+  let r = ref nan in
+  let eng =
+    Pthread.make_proc ?perverted (fun proc ->
+        let run n () =
+          for _ = 1 to n do
+            point proc
+          done
+        in
+        let others =
+          List.init 3 (fun _ -> Pthread.create_unit proc (run 25_000))
+        in
+        run 1_000 ();
+        let w0 = Gc.minor_words () and d0 = proc.Types.n_dispatches in
+        run 20_000 ();
+        let d = proc.Types.n_dispatches - d0 in
+        r := (Gc.minor_words () -. w0) /. float_of_int d;
+        List.iter (fun t -> ignore (Pthread.join proc t)) others;
+        0)
+  in
+  Option.iter (fun c -> Engine.set_chooser eng (Some c)) chooser;
+  Pthread.start eng;
+  !r
+
+(* A scheduling decision through the chooser slot costs no more than a
+   plain dispatch: the ready set reaches the chooser through a reusable
+   array, not a list built per pick.  The baseline is a [yield] with no
+   chooser installed (the suspended continuation is all it allocates). *)
+let test_chooser_budgets () =
+  let open Types in
+  let first_ready =
+    {
+      ch_requeue = (fun point _ -> if point = At_mutex_acquired then -1 else min_prio);
+      ch_pick =
+        (fun eng ->
+          if Engine.ready_view eng = 0 then nil_tcb else Engine.ready_at eng 0);
+    }
+  in
+  let baseline = words_per_dispatch Pthread.yield in
+  let cases =
+    [
+      ("trivial chooser", baseline, words_per_dispatch ~chooser:first_ready Pthread.checkpoint);
+      ( "Rr_ordered_switch",
+        baseline,
+        words_per_dispatch ~perverted:Rr_ordered_switch Pthread.checkpoint );
+      (* the seeded generator boxes its int64 state on every draw *)
+      ( "Random_switch",
+        24.,
+        words_per_dispatch ~perverted:Random_switch Pthread.checkpoint );
+    ]
+  in
+  Printf.printf "yield, no chooser: %.2f words/dispatch\n" baseline;
+  List.iter
+    (fun (name, limit, w) ->
+      Printf.printf "%s: %.2f words/dispatch (budget %.2f)\n" name w limit;
+      (* 0.01: the two Gc.minor_words readings box a float each *)
+      if w > limit +. 0.01 then
+        Alcotest.failf "%s allocates %.2f words/dispatch, over %.2f" name w limit)
+    cases
+
 let test_subscribers_see_registration_order () =
   let log = ref [] in
   let proc =
@@ -210,6 +274,7 @@ let suite =
         tc "unobserved emitters allocate nothing"
           test_unobserved_emitters_allocate_nothing;
         tc "hot path allocation budgets" test_hot_path_budgets;
+        tc "chooser decision allocation budgets" test_chooser_budgets;
         tc "subscribers in registration order"
           test_subscribers_see_registration_order;
         tc "sanitizer detach keeps the injector" test_detach_keeps_other_subscribers;

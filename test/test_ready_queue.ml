@@ -6,6 +6,15 @@ open Pthreads
 open Pthreads.Types
 module WQ = Pthreads.Wait_queue
 
+(* Dequeue the random member the perverted random chooser would pick. *)
+let pop_random q rng =
+  let t = WQ.random_member q rng in
+  if t == nil_tcb then None
+  else begin
+    WQ.remove q t;
+    Some t
+  end
+
 let mk_engine () =
   Engine.make (Engine.default_config Vm.Cost_model.sparc_ipx) ~main:(fun () -> 0)
 
@@ -84,7 +93,7 @@ let test_pop_random_deterministic () =
       (fun i -> WQ.push_tail eng.ready (mk_tcb i (i mod 4)))
       [ 1; 2; 3; 4; 5 ];
     let rec go acc =
-      match WQ.pop_random eng.ready rng with
+      match pop_random eng.ready rng with
       | Some t -> go (t.tid :: acc)
       | None -> List.rev acc
     in
@@ -95,7 +104,7 @@ let test_pop_random_deterministic () =
 let test_pop_random_empty () =
   let eng = mk_engine () in
   ignore (WQ.pop_highest eng.ready);
-  check bool "none" true (WQ.pop_random eng.ready (Vm.Rng.create 1) = None)
+  check bool "none" true (pop_random eng.ready (Vm.Rng.create 1) = None)
 
 let prop_pop_sorted =
   qcheck ~count:100 "pop_highest yields non-increasing priorities"
@@ -257,7 +266,7 @@ let prop_model_random =
               end
           | 3 ->
               let r =
-                match WQ.pop_random eng.ready rng_real with
+                match pop_random eng.ready rng_real with
                 | Some t -> t.tid
                 | None -> -1
               and m =
@@ -272,7 +281,7 @@ let prop_model_random =
         ops;
       let rec drain () =
         let r =
-          match WQ.pop_random eng.ready rng_real with
+          match pop_random eng.ready rng_real with
           | Some t -> t.tid
           | None -> -1
         and m =

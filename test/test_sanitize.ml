@@ -412,7 +412,7 @@ let test_sem_as_mutex_inversion () =
 
 let golden_san (s : Scenarios.t) file () =
   let r, _ = observe s in
-  match Report.of_file ("golden/" ^ file) with
+  match Report.of_file (golden_path file) with
   | Error e -> Alcotest.failf "golden %s: %s" file e
   | Ok expected ->
       check string

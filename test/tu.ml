@@ -40,6 +40,12 @@ let exit_status : Types.exit_status Alcotest.testable =
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* A committed golden file.  Dune copies [golden/] beside the test
+   executable, so the path is found from there and the suite passes
+   whatever the working directory. *)
+let golden_path file =
+  Filename.concat (Filename.concat (Filename.dirname Sys.executable_name) "golden") file
+
 (* Run [f] on a fresh domain and fail the test if it has not returned
    within [seconds] — for code whose regression is a hang rather than a
    wrong answer.  On a timeout the stuck domain is abandoned. *)

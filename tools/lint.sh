@@ -65,16 +65,21 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
-# 6. One engine probe.  Observers (debugger, validator, explorer
-#    footprints, fault injector, sanitizer) subscribe to the engine's
-#    probe list; the explorer's chooser is the one callback slot, because
-#    it returns the next thread instead of observing.  No other
-#    [mutable ..._hook] field may grow back on the engine record.
-hits=$(grep -nE 'mutable[[:space:]]+[a-z_]*_hook[[:space:]]*:' lib/pthreads/types.ml |
-  grep -v 'mutable explore_hook')
+# 6. One engine probe and one chooser.  Observers (debugger, validator,
+#    explorer footprints, fault injector, sanitizer) subscribe to the
+#    engine's probe list.  Who runs next is decided by the chooser slot
+#    alone (Engine.set_chooser): the perverted policies and the explorer
+#    are choosers.  No [mutable ..._hook] field may grow back on the
+#    engine record, no second decision flag ([pick_random_next]), and
+#    nothing outside engine.ml (which installs the policy's chooser) may
+#    read a config's [perverted] field.
+hits=$( (grep -nE 'mutable[[:space:]]+[a-z_]*_hook[[:space:]]*:' lib/pthreads/types.ml
+  grep -rn --include='*.ml' --include='*.mli' 'pick_random_next' lib/
+  grep -rnE --include='*.ml' "\b[a-z_][A-Za-z0-9_']*\.perverted\b" lib/ |
+    grep -v '^lib/pthreads/engine.ml:') )
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits" >&2
-  echo "lint: hook slot in lib/pthreads/types.ml — subscribe to the engine probe (Engine.subscribe) instead" >&2
+  echo "lint: second scheduling decision slot — subscribe to the engine probe (Engine.subscribe) to observe, install a chooser (Engine.set_chooser) to decide" >&2
   fail=1
 fi
 
