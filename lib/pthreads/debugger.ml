@@ -50,22 +50,20 @@ let pp_process ppf eng =
 
 type switch_event = { sw_at_ns : int; sw_tid : int; sw_name : string; sw_prio : int }
 
-let watch_switches eng f =
+let collect_switches eng =
+  (* accumulate newest-first (O(1) per event), reverse on read *)
+  let rev = ref [] in
   Engine.subscribe eng (function
     | Switch_in t ->
-        f
+        rev :=
           {
             sw_at_ns = Unix_kernel.now eng.vm;
             sw_tid = t.tid;
             sw_name = t.tname;
             sw_prio = t.prio;
           }
-    | _ -> ())
-
-let collect_switches eng =
-  (* accumulate newest-first (O(1) per event), reverse on read *)
-  let rev = ref [] in
-  watch_switches eng (fun e -> rev := e :: !rev);
+          :: !rev
+    | _ -> ());
   fun () -> List.rev !rev
 
 (* ------------------------------------------------------------------ *)

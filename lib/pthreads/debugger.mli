@@ -30,7 +30,6 @@ val inspect : engine -> int -> thread_info option
 
 val all_threads : engine -> thread_info list
 
-val pp_thread : Format.formatter -> thread_info -> unit
 val pp_process : Format.formatter -> engine -> unit
 (** A ps(1)-style listing of every thread. *)
 
@@ -38,16 +37,12 @@ val pp_process : Format.formatter -> engine -> unit
 
 type switch_event = { sw_at_ns : int; sw_tid : int; sw_name : string; sw_prio : int }
 
-val watch_switches : engine -> (switch_event -> unit) -> unit
-(** Invoke the callback at every dispatch, {e before} the switch is
-    committed (the thread in the event is still ready, and the outgoing
-    thread is still current): a watcher can veto or redirect the dispatch
-    by raising.  See {!Types.Switch_in} and {!Engine.subscribe} for the
-    full ordering contract. *)
-
 val collect_switches : engine -> unit -> switch_event list
-(** Convenience: record every switch; the returned thunk yields the events
-    collected so far in dispatch order. *)
+(** Record every dispatch, {e before} the switch is committed (the thread
+    in the event is still ready, and the outgoing thread is still
+    current; see {!Types.Switch_in} and {!Engine.subscribe} for the full
+    ordering contract).  The returned thunk yields the events collected
+    so far in dispatch order. *)
 
 (** {1 Wait-for-graph analysis}
 

@@ -324,7 +324,7 @@ let rec set_effective_prio eng t new_prio ~at_head =
         t.prio <- new_prio;
         Wait_queue.reposition w.io_waiters t ~old_prio
     | Blocked (On_join _ | On_sigwait _ | On_sleep | On_start | On_suspend
-              | On_shared _)
+              | On_shared _ | On_await)
     | Terminated ->
         t.prio <- new_prio
   end
@@ -463,8 +463,9 @@ let unblock_core eng t wake =
           (* lazy creation: resources are allocated at activation time *)
           Heap.acquire_slab eng.heap
       | On_sleep | On_suspend -> ()
-      | On_shared _ ->
-          (* the shared object's library removed us from its queue *)
+      | On_shared _ | On_await ->
+          (* the shared object's library or the task handle removed us
+             from its queue *)
           ());
       t.wait_deadline <- no_deadline;
       t.pending_wake <- wake;
@@ -680,7 +681,9 @@ and act_on eng t s code origin =
                   { fh_signo = s; fh_code = code; fh_mask = h_mask; fh_fn = h_fn }
                 :: t.fake_frames;
               match t.state with
-              | Blocked (On_mutex _ | On_start | On_suspend | On_shared _) ->
+              | Blocked
+                  (On_mutex _ | On_start | On_suspend | On_shared _ | On_await)
+                ->
                   (* a mutex wait is not an interruption point, and a
                      suspended thread stays suspended: the handler runs at
                      acquisition/resumption *)
@@ -723,7 +726,7 @@ and act_cancel eng t =
     charge eng Costs.fake_call_setup;
     t.fake_frames <- Fake_exit :: t.fake_frames;
     match t.state with
-    | Blocked (On_mutex _ | On_suspend | On_shared _) ->
+    | Blocked (On_mutex _ | On_suspend | On_shared _ | On_await) ->
         () (* dies at acquisition/resume *)
     | Blocked _ -> unblock eng t Wake_interrupted
     | Ready | Running | Terminated -> ()
@@ -771,6 +774,23 @@ let universal_handler eng ~signo ~code ~origin =
     charge eng Costs.kernel_exit;
     set_kernel_flag eng false
   end
+
+(* Whether delivering [s] now could make a thread runnable: a handler
+   interrupts a blocked wait, and a [sigwait] on it returns.  An ignored
+   signal, or a default action that ends the process, wakes nobody.  An
+   idle backend asks this only with no deadline and no watch. *)
+let signal_wakes eng s =
+  match eng.actions.(s) with
+  | Sig_handler _ -> true
+  | Sig_ignore | Sig_default ->
+      fold_threads eng
+        (fun found t ->
+          found
+          ||
+          match t.state with
+          | Blocked (On_sigwait set) -> Sigset.mem set s
+          | _ -> false)
+        false
 
 (* Wake the threads whose socket watches fired in the backend's last poll,
    in poll order.  A fired requester is a tid: one that is no longer
@@ -1178,7 +1198,8 @@ let run_scheduler eng =
     else begin
       poll_signals eng;
       eng.dispatcher_flag <- false;
-      if eng.stop_reason <> None then ()
+      (* a main-less process's owner may give its unit back in the pump *)
+      if eng.stop_reason <> None || eng.live_count <= 0 then ()
       else begin
         let next =
           match eng.chooser with
@@ -1320,7 +1341,7 @@ let perverted_chooser rng = function
       in
       Some { ch_requeue; ch_pick }
 
-let make ?clock ?backend cfg ~main =
+let make ?clock ?backend ?main cfg =
   let backend =
     match backend with
     | Some b -> b
@@ -1331,8 +1352,11 @@ let make ?clock ?backend cfg ~main =
   let trace_rec = Trace.create () in
   Trace.set_enabled trace_rec cfg.trace_enabled;
   let main_tcb =
-    Tcb.make ~tid:0 ~name:"main" ~prio:cfg.main_prio ~detached:false
-      ~body:main ~deferred:false
+    Option.map
+      (fun body ->
+        Tcb.make ~tid:0 ~name:"main" ~prio:cfg.main_prio ~detached:false
+          ~body ~deferred:false)
+      main
   in
   let rng = Rng.create cfg.seed
   and ready = Wait_queue.create ()
@@ -1356,7 +1380,7 @@ let make ?clock ?backend cfg ~main =
       kernel_flag = false;
       dispatcher_flag = false;
       deferred = [];
-      current = main_tcb;
+      current = Option.value main_tcb ~default:nil_tcb (* until a dispatch *);
       ready;
       threads;
       sleeps;
@@ -1408,6 +1432,7 @@ let make ?clock ?backend cfg ~main =
   List.iter
     (fun s -> Unix_kernel.sigaction vm s catch)
     (Sigset.to_list Sigset.all_maskable);
+  Unix_kernel.set_signal_wakes vm (signal_wakes eng);
   eng.actions.(Sigset.sigchld) <- Sig_ignore;
   eng.actions.(Sigset.sigio) <- Sig_ignore;
   if cfg.use_pool && cfg.pool_prealloc > 0 then
@@ -1419,10 +1444,13 @@ let make ?clock ?backend cfg ~main =
         (Unix_kernel.arm_timer vm ~after_ns:quantum ~interval_ns:quantum
            ~signo:Sigset.sigalrm ~origin:Unix_kernel.Slice
           : Unix_kernel.timer));
-  Heap.acquire_slab heap;
-  thread_table_add eng main_tcb;
-  Wait_queue.push_tail eng.ready main_tcb;
-  trace eng main_tcb Trace.Ready;
+  (match main_tcb with
+  | Some t ->
+      Heap.acquire_slab heap;
+      thread_table_add eng t;
+      Wait_queue.push_tail eng.ready t;
+      trace eng t Trace.Ready
+  | None -> ());
   eng
 
 (* ------------------------------------------------------------------ *)

@@ -21,9 +21,16 @@ open Types
 (** {1 Construction and the scheduler} *)
 
 val make :
-  ?clock:Vm.Clock.t -> ?backend:Vm.Backend.t -> config -> main:(unit -> int) -> engine
+  ?clock:Vm.Clock.t ->
+  ?backend:Vm.Backend.t ->
+  ?main:(unit -> int) ->
+  config ->
+  engine
 (** Build a simulated process whose main thread (tid 0) will run [main].
-    Installs the universal signal handler for all maskable signals, the
+    Without [main] the process starts with no thread, and its one unit of
+    [live_count] belongs to the caller: the scheduler idles in the
+    backend's [wait] until the caller gives the unit back (from the
+    backend's [pump]) and every thread has terminated.  Installs the universal signal handler for all maskable signals, the
     chooser of [cfg.perverted] (none for [No_perversion]) and, for a
     round-robin policy, arms the time-slice interval timer.  [clock] lets
     several processes of one [Machine] share a time line.  [backend]
@@ -44,6 +51,13 @@ val enter_kernel : engine -> unit
 val leave_kernel : engine -> unit
 (** Consult the chooser ([At_kernel_exit]), then reset the kernel flag,
     or invoke the dispatcher when the dispatcher flag was set. *)
+
+val in_kernel : engine -> (unit -> 'a) -> 'a
+(** Run the function with the kernel flag set, then restore the flag's
+    previous value (also on an exception).  For work applied from outside
+    a kernel operation — a fault primitive, a backend pump — that edits
+    queues but must not dispatch: a switch it requests only sets the
+    dispatcher flag. *)
 
 val block : engine -> wake
 (** Give up the processor.  The caller must hold the kernel flag, have set
@@ -122,14 +136,6 @@ val set_wait_deadline : engine -> tcb -> deadline:int -> unit
     it in the sleep heap ([Cond] timed waits, [Pthread.delay]).  Cleared by
     [unblock] (to {!Types.no_deadline}); the heap entry is lazily
     discarded. *)
-
-val sleep_next_deadline : engine -> int
-(** Earliest pending timed-wait deadline, [no_deadline] when none (drops
-    dead heap entries on the way). *)
-
-val finish_current : engine -> exit_status -> unit
-(** Thread-termination bookkeeping: runs cleanup handlers and TSD
-    destructors, wakes joiners, reclaims a detached thread's slab. *)
 
 (** {1 I/O waits}
 
@@ -267,7 +273,6 @@ val touch : engine -> int -> unit
 val key_mutex : int -> int
 val key_cond : int -> int
 val key_thread : int -> int
-val key_signal : int -> int
 
 (** {2:fault Fault injection}
 

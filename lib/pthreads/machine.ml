@@ -220,10 +220,6 @@ let wait_child _m parent child =
   in
   wait ()
 
-let child_name c = c.mp_name
-
-let child_proc c = c.mp_eng
-
 let kill_process _m sender target signo =
   (* a real kill(2): a trap in the sender, an external signal in the
      target's kernel *)

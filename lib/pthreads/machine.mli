@@ -77,9 +77,6 @@ val wait_child : t -> Pthread.proc -> child -> proc_result
     ([waitpid]).  Cancellation is tested on entry and at each wakeup; a
     request arriving mid-wait pends until the child exits. *)
 
-val child_name : child -> string
-val child_proc : child -> Pthread.proc
-
 val kill_process : t -> Pthread.proc -> Pthread.proc -> Types.signo -> unit
 (** [kill_process m sender target signo]: a [kill(2)] across processes —
     trap charged to the sender, signal posted to the target's kernel and

@@ -8,10 +8,17 @@ type t = int
 (* Process construction                                                *)
 (* ------------------------------------------------------------------ *)
 
-let build_config ?(profile = Cost_model.sparc_ipx) ?(policy = Fifo)
-    ?(perverted = No_perversion) ?(seed = 42) ?(use_pool = true)
-    ?(trace = false) ?(main_prio = default_prio) ?(ceiling_mode = Stack_pop)
-    () =
+let config ?backend ?profile ?(policy = Fifo) ?(perverted = No_perversion)
+    ?(seed = 42) ?(use_pool = true) ?(trace = false) ?(main_prio = default_prio)
+    ?(ceiling_mode = Stack_pop) () =
+  let profile =
+    (* a backend owns its kernel: default the config's profile to it so
+       cost accounting matches (free-running on the Unix backend) *)
+    match (profile, backend) with
+    | Some p, _ -> p
+    | None, Some b -> Unix_kernel.profile b.Backend.kernel
+    | None, None -> Cost_model.sparc_ipx
+  in
   {
     profile;
     policy;
@@ -26,23 +33,16 @@ let build_config ?(profile = Cost_model.sparc_ipx) ?(policy = Fifo)
 
 let make_proc ?clock ?backend ?profile ?policy ?perverted ?seed ?use_pool
     ?trace ?main_prio ?ceiling_mode f =
-  let profile =
-    (* a backend owns its kernel: default the config's profile to it so
-       cost accounting matches (free-running on the Unix backend) *)
-    match (profile, backend) with
-    | None, Some b -> Some (Unix_kernel.profile b.Backend.kernel)
-    | p, _ -> p
-  in
   let cfg =
-    build_config ?profile ?policy ?perverted ?seed ?use_pool ?trace ?main_prio
-      ?ceiling_mode ()
+    config ?backend ?profile ?policy ?perverted ?seed ?use_pool ?trace
+      ?main_prio ?ceiling_mode ()
   in
   (* The main body needs the engine that is about to be created. *)
   let eng_ref = ref None in
   let main () =
     match !eng_ref with Some eng -> f eng | None -> assert false
   in
-  let eng = Engine.make ?clock ?backend cfg ~main in
+  let eng = Engine.make ?clock ?backend ~main cfg in
   eng_ref := Some eng;
   eng
 
@@ -68,9 +68,7 @@ let run ?backend ?profile ?policy ?perverted ?seed ?use_pool ?trace ?main_prio
 (* Thread management                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let create eng ?(attr = Attr.default) body =
-  Engine.checkpoint eng;
-  Engine.enter_kernel eng;
+let create_in_kernel eng attr body =
   let tid = Engine.fresh_tid eng in
   let name =
     match attr.Attr.name with
@@ -83,6 +81,12 @@ let create eng ?(attr = Attr.default) body =
   in
   t.sched_override <- attr.Attr.sched;
   Engine.register_thread eng t;
+  tid
+
+let create eng ?(attr = Attr.default) body =
+  Engine.checkpoint eng;
+  Engine.enter_kernel eng;
+  let tid = create_in_kernel eng attr body in
   Engine.leave_kernel eng;
   Engine.drain_fake_calls eng;
   tid

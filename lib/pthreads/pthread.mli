@@ -73,6 +73,22 @@ val make_proc :
     [clock] is ignored and [profile] defaults to the backend kernel's
     profile. *)
 
+val config :
+  ?backend:Vm.Backend.t ->
+  ?profile:Vm.Cost_model.profile ->
+  ?policy:policy ->
+  ?perverted:perverted ->
+  ?seed:int ->
+  ?use_pool:bool ->
+  ?trace:bool ->
+  ?main_prio:int ->
+  ?ceiling_mode:ceiling_unlock_mode ->
+  unit ->
+  config
+(** The configuration {!make_proc} builds its engine from, with the same
+    defaults; for callers that build an engine without a main thread
+    ([Engine.make] without [~main]). *)
+
 val start : proc -> unit
 (** Run a process built with {!make_proc} to completion. *)
 
@@ -86,6 +102,12 @@ val create : proc -> ?attr:Attr.t -> (unit -> int) -> t
 (** Create a thread; it becomes ready immediately (and preempts the caller
     if its priority is higher), unless the attribute asks for deferred
     activation. *)
+
+val create_in_kernel : proc -> Attr.t -> (unit -> int) -> t
+(** The part of {!create} that runs inside the kernel: mint the tid, build
+    the TCB and register it (ready, unless deferred).  No checkpoint and
+    no dispatch: a thread that outranks the running one only sets the
+    dispatcher flag.  For callers that already hold the kernel flag. *)
 
 val create_unit : proc -> ?attr:Attr.t -> (unit -> unit) -> t
 (** Convenience wrapper for bodies without a return value. *)

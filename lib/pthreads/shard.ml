@@ -20,28 +20,32 @@ open Types
    transfer, a field flip or a steal's pass over one inbox, and never
    across a scheduler call.
 
-   Each shard's main thread (tid 0) runs the {e service loop}: it drains
-   the inbox, turns [Spawn] messages into ordinary green threads via
-   [Pthread.create], performs [Wake]/[Post] requests inside its own
-   kernel, and parks [Blocked (On_shared _)] when idle.  The shard's
-   backend is wrapped so that the checkpoint pump unparks the service
-   thread when messages are queued.
+   A shard's engine has no main thread.  Its backend is wrapped, and the
+   wrapped [pump] — which runs at the head of every signal poll, where
+   the paper's dispatcher applies the signals it logged inside the
+   kernel — applies the inbox in place: a [Spawn] becomes an ordinary
+   green thread, a [Wake] unblocks an awaiter, a [Post] generates a
+   process-level signal.  These run under the kernel flag and never
+   dispatch; a thread made ready that outranks the running one sets the
+   dispatcher flag, as an I/O wakeup does.  The pool holds the engine's
+   one unit of [live_count] until the pool drains, so the engine keeps
+   idling while it has no thread of its own.
 
    An idle shard does not poll, just as the paper's library process
    blocks in the UNIX kernel until the SIGIO doorbell rings.  Its wait
-   seam lets the backend wait for the real deadline (the virtual clock
-   jumps there; the unix loop blocks in ppoll), and only when the
-   backend has nothing that could ever wake it does the domain park on
-   its condition.  Every inbox push rings the target shard: it signals
-   the condition and calls the backend's [wake] doorbell, which ends a
-   blocked ppoll.
+   seam first tries to steal; then it lets the backend wait for the real
+   deadline (the virtual clock jumps there; the unix loop blocks in
+   ppoll), and only when the backend has nothing that could ever wake it
+   does the domain park on its condition.  Every inbox push rings the
+   target shard: it signals the condition and calls the backend's [wake]
+   doorbell, which ends a blocked ppoll.
 
    Work migrates only by stealing, and only work that has not started:
    an idle shard with no ready threads takes up to half of the [Spawn]
    messages queued at a busy shard, and a spawn queued at a busy shard
    rings one idle shard to come and take it.  A spawned closure is inert
-   until the service loop creates its thread, so migration never moves a
-   TCB, a wait-queue entry or a timer between engines.
+   until a pump or a steal creates its thread, so migration never moves
+   a TCB, a wait-queue entry or a timer between engines.
 
    What this buys: the deterministic single-domain engine is untouched
    (parallel mode is a layer above it, selected by [run_parallel]), and
@@ -72,7 +76,6 @@ let poll h = Stdlib.Mutex.protect h.h_lock (fun () -> h.h_value)
 (* ------------------------------------------------------------------ *)
 
 type task = {
-  mutable t_home : int;  (* current home shard; rewritten by a steal *)
   t_attr : Attr.t option;
   t_run : engine -> int;
   t_handle : handle;
@@ -82,7 +85,6 @@ type message =
   | Spawn of task
   | Wake of int  (* tid of a thread parked awaiting on this shard *)
   | Post of Sigset.signo  (* fanned-out process-level signal *)
-  | Stop  (* unpark: the pool has drained (or failed); check the flag *)
 
 type shard = {
   s_index : int;
@@ -100,6 +102,9 @@ type shard = {
       (* written by the shard's own domain before its scheduler starts;
          only ever read from that domain (and, after the joins, by the
          aggregation code) *)
+  mutable s_holding : bool;
+      (* the pool still holds the engine's unit of [live_count]; own
+         domain only *)
   s_steals : int Atomic.t;  (* tasks this shard stole from others *)
   s_remote_wakes : int Atomic.t;  (* Wake messages this shard sent *)
   s_tasks : int Atomic.t;  (* tasks whose thread was created here *)
@@ -148,6 +153,7 @@ let make_pool n =
             s_bell = Condition.create ();
             s_wake = ignore;
             s_engine = None;
+            s_holding = true;
             s_steals = Atomic.make 0;
             s_remote_wakes = Atomic.make 0;
             s_tasks = Atomic.make 0;
@@ -189,59 +195,37 @@ let push_msg pool shard msg =
       | None -> ())
   | _ -> ()
 
-(* Move the whole inbox into [batch] under one lock acquisition. *)
-let drain_inbox shard batch =
-  if Atomic.get shard.s_msgs > 0 then
-    Stdlib.Mutex.protect shard.s_lock (fun () ->
-        Queue.transfer shard.s_inbox batch;
-        Atomic.set shard.s_msgs 0;
-        Atomic.set shard.s_spawns 0)
+(* Mark the pool drained (or failed) and ring every shard, so each gives
+   back its engine's unit at its next pump. *)
+let finish_pool pool =
+  Atomic.set pool.p_finished true;
+  Array.iter (ring pool) pool.p_shards
 
-let broadcast_stop pool =
-  Array.iter (fun s -> push_msg pool s Stop) pool.p_shards
-
-(* Fail the whole pool: remember the first error, then drain every shard
-   so parked service threads wake up, notice the flag and exit. *)
+(* Fail the whole pool: remember the first error, then drain it. *)
 let fail_pool pool e =
   ignore (Atomic.compare_and_set pool.p_error None (Some e) : bool);
-  Atomic.set pool.p_finished true;
-  broadcast_stop pool
+  finish_pool pool
+
+let engine shard =
+  match shard.s_engine with Some eng -> eng | None -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Parking and waking                                                  *)
+(* Waking awaiters                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let inbox_reason = "shard:inbox"
-let await_reason = "shard:await"
-
-(* Unpark the service thread (tid 0) if it is parked on its inbox, and
-   say whether it was.  Called from the pump/wait seams of the shard's
-   own domain — the same context the signal-delivery path unblocks
-   sigwaiters from. *)
-let unpark_service shard =
-  match shard.s_engine with
-  | None -> false
-  | Some eng -> (
-      match Engine.find_thread eng 0 with
-      | Some t -> (
-          match t.state with
-          | Blocked (On_shared r) when String.equal r inbox_reason ->
-              Engine.unblock eng t Wake_normal;
-              true
-          | _ -> false)
-      | None -> false)
+(* Inside [eng]'s kernel: make the awaiter [tid] ready.  A duplicate wake
+   of an awaiter that is already running is dropped. *)
+let unblock_awaiter eng tid =
+  match Engine.find_thread eng tid with
+  | Some ({ state = Blocked On_await; _ } as t) ->
+      Engine.unblock eng t Wake_normal
+  | Some _ | None -> ()
 
 (* Wake a thread of [proc]'s own engine parked in [await].  Caller is a
    green thread outside the kernel. *)
 let wake_local proc tid =
   Engine.enter_kernel proc;
-  (match Engine.find_thread proc tid with
-  | Some t -> (
-      match t.state with
-      | Blocked (On_shared r) when String.equal r await_reason ->
-          Engine.unblock proc t Wake_normal
-      | _ -> () (* duplicate wake of an already-running awaiter: drop *))
-  | None -> ());
+  unblock_awaiter proc tid;
   Engine.leave_kernel proc;
   Engine.drain_fake_calls proc
 
@@ -281,9 +265,9 @@ let await proc h =
     Engine.enter_kernel proc;
     let self = Engine.current proc in
     let ready =
-      (* registration happens inside the kernel, so the service thread
-         cannot process a [Wake] for us until after [block] below: the
-         park/wake handshake cannot lose a wakeup *)
+      (* registration happens inside the kernel, and the pump runs only
+         at a signal poll, so no [Wake] for us is applied until after
+         [block] below: the park/wake handshake cannot lose a wakeup *)
       Stdlib.Mutex.protect h.h_lock (fun () ->
           match h.h_value with
           | Some _ as v -> v
@@ -297,7 +281,7 @@ let await proc h =
         Engine.drain_fake_calls proc;
         v
     | None ->
-        self.state <- Blocked (On_shared await_reason);
+        self.state <- Blocked On_await;
         let (_ : wake) = Engine.block proc in
         Engine.drain_fake_calls proc;
         get ()
@@ -310,10 +294,7 @@ let await proc h =
 
 (* Completion of the last in-flight task drains the pool. *)
 let task_done pool =
-  if Atomic.fetch_and_add pool.p_in_flight (-1) = 1 then begin
-    Atomic.set pool.p_finished true;
-    broadcast_stop pool
-  end
+  if Atomic.fetch_and_add pool.p_in_flight (-1) = 1 then finish_pool pool
 
 (* The green-thread body of a task: run [f], fulfil [h] with its outcome,
    call [finish], then hand the non-normal outcomes back to the thread
@@ -329,14 +310,14 @@ let task_body proc h f finish () =
   | Canceled -> raise (Thread_exit_exn Canceled)
   | Failed e -> raise e
 
-(* Turn a task into an ordinary green thread on [proc]'s engine. *)
-let start_task pool shard proc task =
-  task.t_home <- shard.s_index;
+(* Inside [eng]'s kernel: turn a task into an ordinary green thread. *)
+let start_task pool shard eng task =
   Atomic.incr shard.s_tasks;
   let body =
-    task_body proc task.t_handle task.t_run (fun () -> task_done pool)
+    task_body eng task.t_handle task.t_run (fun () -> task_done pool)
   in
-  ignore (Pthread.create proc ?attr:task.t_attr body : int)
+  let attr = Option.value task.t_attr ~default:Attr.default in
+  ignore (Pthread.create_in_kernel eng attr body : int)
 
 let spawn ?attr ?home proc f =
   let h = make_handle () in
@@ -359,7 +340,7 @@ let spawn ?attr ?home proc f =
       let home = ((home mod n) + n) mod n in
       Atomic.incr pool.p_in_flight;
       push_msg pool pool.p_shards.(home)
-        (Spawn { t_home = home; t_attr = attr; t_run = f; t_handle = h }));
+        (Spawn { t_attr = attr; t_run = f; t_handle = h }));
   h
 
 (* ------------------------------------------------------------------ *)
@@ -368,15 +349,7 @@ let spawn ?attr ?home proc f =
 
 (* Cheap probe used by the idle seam: is there anything worth stealing? *)
 let stealable pool shard =
-  let n = Array.length pool.p_shards in
-  let found = ref false in
-  for k = 1 to n - 1 do
-    if
-      (not !found)
-      && Atomic.get pool.p_shards.((shard.s_index + k) mod n).s_spawns > 0
-    then found := true
-  done;
-  !found
+  Array.exists (fun s -> s != shard && Atomic.get s.s_spawns > 0) pool.p_shards
 
 (* Take up to half (rounding up) of a victim's queued [Spawn]s, oldest
    first — the victim keeps the newest, which it is closest to running.
@@ -394,101 +367,46 @@ let steal_from thief victim =
         let spawns = List.rev !spawns in
         let total = List.length spawns in
         let take = (total + 1) / 2 in
-        let taken, kept =
-          List.filteri (fun i _ -> i < take) spawns,
-          List.filteri (fun i _ -> i >= take) spawns
-        in
         Queue.transfer keep victim.s_inbox;
-        List.iter (fun t -> Queue.push (Spawn t) victim.s_inbox) kept;
-        Atomic.set victim.s_spawns (List.length kept);
+        List.iteri
+          (fun i t -> if i >= take then Queue.push (Spawn t) victim.s_inbox)
+          spawns;
+        Atomic.set victim.s_spawns (total - take);
         (* s_msgs no longer counts the taken spawns *)
         ignore (Atomic.fetch_and_add victim.s_msgs (-take) : int);
         Atomic.incr thief.s_steals;
-        taken)
+        List.filteri (fun i _ -> i < take) spawns)
 
-let try_steal pool thief =
+(* Steal from the first shard with queued spawns, visiting the [k]th
+   shard to the thief's right first.  Top-level rather than a local
+   closure, so the idle seam's every call allocates nothing. *)
+let rec try_steal pool thief k =
   let n = Array.length pool.p_shards in
-  let rec go k =
-    if k >= n then []
-    else begin
-      let victim = pool.p_shards.((thief.s_index + k) mod n) in
-      match steal_from thief victim with [] -> go (k + 1) | ts -> ts
-    end
-  in
-  go 1
-
-(* ------------------------------------------------------------------ *)
-(* The service loop                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let handle_msg pool shard proc = function
-  | Spawn task -> start_task pool shard proc task
-  | Wake tid -> wake_local proc tid
-  | Post signo -> Engine.post_external proc signo ()
-  | Stop -> ()
-
-let park pool proc shard =
-  Engine.checkpoint proc;
-  Engine.enter_kernel proc;
-  (* recheck under the kernel flag — if a message slipped in since the
-     drain, skip the park (the pump would unpark us anyway; this just
-     saves the dispatch) *)
-  if Atomic.get shard.s_msgs = 0 && not (Atomic.get pool.p_finished) then begin
-    let self = Engine.current proc in
-    self.state <- Blocked (On_shared inbox_reason);
-    let (_ : wake) = Engine.block proc in
-    Engine.drain_fake_calls proc
-  end
-  else begin
-    Engine.leave_kernel proc;
-    Engine.drain_fake_calls proc
-  end
-
-let service pool shard proc =
-  let batch = Queue.create () in
-  let rec loop () =
-    drain_inbox shard batch;
-    if not (Queue.is_empty batch) then begin
-      Queue.iter (handle_msg pool shard proc) batch;
-      Queue.clear batch;
-      loop ()
-    end
-    else if not (Atomic.get pool.p_finished) then begin
-      (* steal only when otherwise idle: if another local thread is ready
-         (the running service thread is never queued), run it rather than
-         import more work *)
-      (match
-         if Wait_queue.size proc.ready > 0 then [] else try_steal pool shard
-       with
-      | [] -> park pool proc shard
-      | stolen -> List.iter (start_task pool shard proc) stolen);
-      loop ()
-    end
-  in
-  loop ()
+  if k >= n then []
+  else
+    match steal_from thief pool.p_shards.((thief.s_index + k) mod n) with
+    | [] -> try_steal pool thief (k + 1)
+    | ts -> ts
 
 (* ------------------------------------------------------------------ *)
 (* The backend seams                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Something ended the shard's idleness: a queued message, stealable
-   work elsewhere, or the pool draining (the service thread must see the
-   flag and exit). *)
-let woken pool shard =
-  Atomic.get shard.s_msgs > 0
-  || Atomic.get pool.p_finished
-  || stealable pool shard
+(* Work for the pump: queued messages, or the engine's unit to give back
+   once the pool has drained. *)
+let has_work pool shard =
+  Atomic.get shard.s_msgs > 0 || (shard.s_holding && Atomic.get pool.p_finished)
 
-(* Block the domain until [woken]; [false] reports a cross-shard
-   deadlock.  Decided under the pool mutex: a parked domain has no
-   deadline and no event source of its own, and only a running domain
-   can push, so once every shard is parked with every inbox empty
-   nothing can ever arrive. *)
+(* Block the domain until there is work for the pump or work to steal;
+   [false] reports a cross-shard deadlock.  Decided under the pool mutex:
+   a parked domain has no deadline and no event source of its own, and
+   only a running domain can push, so once every shard is parked with
+   every inbox empty nothing can ever arrive. *)
 let park_domain pool shard =
   Stdlib.Mutex.protect pool.p_park (fun () ->
       shard.s_parked <- true;
       let rec sleep () =
-        if woken pool shard then true
+        if has_work pool shard || stealable pool shard then true
         else if
           Array.for_all
             (fun s -> s.s_parked && Atomic.get s.s_msgs = 0)
@@ -503,24 +421,57 @@ let park_domain pool shard =
       shard.s_parked <- false;
       live)
 
+(* Inside [eng]'s kernel, never dispatching: a thread made ready that
+   outranks the running one sets the dispatcher flag, and the enclosing
+   checkpoint or the scheduler loop switches. *)
+let apply pool shard eng = function
+  | Spawn task -> start_task pool shard eng task
+  | Wake tid -> unblock_awaiter eng tid
+  | Post signo -> Engine.post_external eng signo ()
+
+(* The idle seam's import: start stolen spawns here. *)
+let steal pool shard =
+  match try_steal pool shard 1 with
+  | [] -> false
+  | stolen ->
+      let eng = engine shard in
+      Engine.in_kernel eng (fun () ->
+          List.iter (start_task pool shard eng) stolen);
+      true
+
 let wrap_backend pool shard (inner : Backend.t) =
+  let batch = Queue.create () in
   let pump () =
     inner.Backend.pump ();
-    if Atomic.get shard.s_msgs > 0 || Atomic.get pool.p_finished then
-      ignore (unpark_service shard : bool)
+    let eng = engine shard in
+    if Atomic.get shard.s_msgs > 0 then begin
+      (* the whole inbox under one lock acquisition *)
+      Stdlib.Mutex.protect shard.s_lock (fun () ->
+          Queue.transfer shard.s_inbox batch;
+          Atomic.set shard.s_msgs 0;
+          Atomic.set shard.s_spawns 0);
+      Engine.in_kernel eng (fun () -> Queue.iter (apply pool shard eng) batch);
+      Queue.clear batch
+    end;
+    if shard.s_holding && Atomic.get pool.p_finished then begin
+      (* the pool has drained: the engine ends with its last thread *)
+      shard.s_holding <- false;
+      eng.live_count <- eng.live_count - 1
+    end
   in
   let wait ~deadline_ns =
     Atomic.set shard.s_idle true;
     let progress =
-      (* what woke the shard is the service thread's to handle;
+      (* the pump takes what woke the shard; otherwise the shard steals;
          otherwise the backend waits for the real deadline, and with
          nothing that could wake the backend the domain parks — unless
-         the pool drained meanwhile, when only the service thread can
-         still have work *)
-      (woken pool shard && unpark_service shard)
+         the pool drained meanwhile, when the threads left here can only
+         deadlock *)
+      has_work pool shard
+      || steal pool shard
       || inner.Backend.wait ~deadline_ns
       ||
-      if Atomic.get pool.p_finished then unpark_service shard
+      if Atomic.get pool.p_finished then has_work pool shard
       else park_domain pool shard
     in
     Atomic.set shard.s_idle false;
@@ -593,12 +544,16 @@ let run_parallel ~domains ?backend_for ?profile ?policy ?seed ?use_pool ?trace
   in
   let pool = make_pool domains in
   let root = make_handle () in
+  let root_attr =
+    match main_prio with
+    | Some p -> Attr.with_prio p Attr.default
+    | None -> Attr.default
+  in
   Atomic.set pool.p_in_flight 1;
   push_msg pool pool.p_shards.(0)
     (Spawn
        {
-         t_home = 0;
-         t_attr = Some (Attr.with_name "root" Attr.default);
+         t_attr = Some (Attr.with_name "root" root_attr);
          t_run = f;
          t_handle = root;
        });
@@ -608,20 +563,9 @@ let run_parallel ~domains ?backend_for ?profile ?policy ?seed ?use_pool ?trace
     shard.s_wake <- inner.Backend.wake;
     let backend = wrap_backend pool shard inner in
     let eng =
-      Pthread.make_proc ~backend ?profile ?policy ?seed ?use_pool ?trace
-        ?main_prio ?ceiling_mode (fun proc ->
-          (* The service thread is pure infrastructure and spends its
-             life parked on the inbox.  Process-level signal delivery
-             scans threads in creation order — tid 0 first — and
-             "delivering" a handler to a parked thread only strands a
-             fake frame there until the next unpark.  Block everything
-             on the service thread so external signals (including
-             [post_all] fan-outs) are steered at application threads,
-             or stay process-pending while the shard has none. *)
-          ignore
-            (Signal_api.set_mask proc `Block Sigset.all_maskable : Sigset.t);
-          service pool shard proc;
-          0)
+      Engine.make ~backend
+        (Pthread.config ~backend ?profile ?policy ?seed ?use_pool ?trace
+           ?ceiling_mode ())
     in
     shard.s_engine <- Some eng;
     eng.shard_state <- Shard_of (shard, pool);
@@ -635,11 +579,7 @@ let run_parallel ~domains ?backend_for ?profile ?policy ?seed ?use_pool ?trace
   shard_main 0 ();
   Array.iter Domain.join others;
   (match Atomic.get pool.p_error with Some e -> raise e | None -> ());
-  let engines =
-    Array.map
-      (fun s -> match s.s_engine with Some e -> e | None -> assert false)
-      pool.p_shards
-  in
+  let engines = Array.map engine pool.p_shards in
   let status =
     match poll root with
     | Some st -> st

@@ -5,9 +5,11 @@
     and kernel flag — pumped by [N] OCaml 5 domains.  Engines are never
     touched across domains; the only shared state is a mutex-guarded
     message inbox per shard, the mutex inside every {!handle}, a pool
-    mutex where idle domains park, and a few atomic counters.  Each
-    shard's main thread runs a service loop that turns incoming spawn
-    messages into ordinary green threads and parks when idle.
+    mutex where idle domains park, and a few atomic counters.  A shard's
+    engine has no main thread: at every signal poll its backend's pump
+    applies the queued messages in place, inside the kernel — a spawn
+    becomes an ordinary green thread, a wake unblocks an awaiter — and
+    its idle wait steals.
 
     Threads are homed on a shard at {!spawn} (round-robin, an explicit
     [~home], or [Attr.with_home]) and migrate only by work stealing: an
@@ -24,10 +26,11 @@
     its domain until another shard queues a message for it, which rings
     the backend's [wake] doorbell.  When every shard is parked with
     every inbox empty, the pool fails with [Process_stopped (Deadlock _)]
-    as a single engine does.  A shard blocked in a unix backend's
-    [ppoll] counts as live, since a host signal or an fd could still
-    wake it: there, as on a single unix engine, a cross-shard await
-    cycle blocks.  Shard virtual clocks drift independently. *)
+    as a single engine does.  A shard on a unix backend parks too once
+    nothing could wake it — no deadline, no watched fd, and no forwarded
+    host signal that a handler or a [sigwait] would turn into a runnable
+    thread — so a cross-shard await cycle stops with [Deadlock] there as
+    well.  Shard virtual clocks drift independently. *)
 
 type handle
 (** The cross-shard future of a spawned task's exit status. *)
@@ -61,7 +64,8 @@ val run_parallel :
     (default: a fresh virtual backend per shard).  The first shard
     failure ([Process_stopped], an escaped exception) drains the pool
     and is re-raised here; a pool whose shards are all parked with empty
-    inboxes fails with [Process_stopped (Deadlock _)].
+    inboxes fails with [Process_stopped (Deadlock _)].  [main_prio] is
+    the root task's priority.
     @raise Invalid_argument if [domains < 2]. *)
 
 val spawn :

@@ -164,8 +164,6 @@ let broadcast proc c =
   Engine.leave_kernel proc;
   Engine.drain_fake_calls proc
 
-let cond_waiter_count c = fifo_length c.sc_waiters
-
 (* Cross-process counting semaphores, layered on the shared mutex and
    condition variable exactly as Psem layers them on the local ones. *)
 type semaphore = {

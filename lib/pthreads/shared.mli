@@ -47,7 +47,6 @@ val signal : Pthread.proc -> cond -> unit
 val broadcast : Pthread.proc -> cond -> unit
 
 val waiter_count : mutex -> int
-val cond_waiter_count : cond -> int
 
 (** {1 Cross-process counting semaphores}
 

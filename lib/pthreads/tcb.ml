@@ -38,8 +38,6 @@ let make ~tid ~name ~prio ~detached ~body ~deferred =
     at_prev = None;
   }
 
-let is_blocked t = match t.state with Blocked _ -> true | _ -> false
-
 let is_live t = t.state <> Terminated
 
 let pp ppf t =

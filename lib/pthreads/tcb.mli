@@ -13,7 +13,6 @@ val make :
 (** A fresh TCB in [Ready] state (or [Blocked On_start] when [deferred],
     the paper's lazy-creation extension). *)
 
-val is_blocked : tcb -> bool
 val is_live : tcb -> bool
 (** Not terminated. *)
 

@@ -34,14 +34,12 @@ let set eng k v =
   if Array.length t.tsd = 0 then t.tsd <- Array.make max_tsd_keys None;
   t.tsd.(k.k_index) <- Option.map k.inj v
 
-let get_for _eng k t =
-  if Array.length t.tsd = 0 then None
-  else match t.tsd.(k.k_index) with None -> None | Some u -> k.proj u
-
 let get eng k =
   check_alive k "get";
   Engine.charge eng Costs.tsd_op;
-  get_for eng k (Engine.current eng)
+  let t = Engine.current eng in
+  if Array.length t.tsd = 0 then None
+  else match t.tsd.(k.k_index) with None -> None | Some u -> k.proj u
 
 let delete_key eng k =
   check_alive k "delete_key";

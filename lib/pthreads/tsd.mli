@@ -19,9 +19,6 @@ val get : Types.engine -> 'a key -> 'a option
     holds a value written through a different key object (impossible through
     this interface). *)
 
-val get_for : Types.engine -> 'a key -> Types.tcb -> 'a option
-(** Debugger-style access to another thread's slot (used by tests). *)
-
 val delete_key : Types.engine -> 'a key -> unit
 (** [pthread_key_delete]: unregister the destructor and drop every
     thread's value for the key.  Subsequent [get]/[set] through the key

@@ -88,6 +88,9 @@ and block_reason =
   | On_shared of string
       (** waiting on a cross-process (shared-memory) synchronization
           object; woken by another process's library *)
+  | On_await
+      (** awaiting a cross-shard task ([Shard.await]); woken by the
+          task's completion, directly or through the home shard's inbox *)
   | On_io of io_wait
       (** waiting for I/O readiness ([Net]: pipe data, a pending
           connection, a ready socket); an interruption point *)
@@ -542,4 +545,5 @@ let state_name = function
   | Blocked On_start -> "not-yet-activated"
   | Blocked On_suspend -> "suspended"
   | Blocked (On_shared name) -> "blocked-on-shared " ^ name
+  | Blocked On_await -> "awaiting-task"
   | Blocked (On_io w) -> "blocked-on-io " ^ w.io_name

@@ -28,8 +28,6 @@ val push_tail_at : pq -> tcb -> int -> unit
 (** Enqueue at the tail of an arbitrary bucket, regardless of the thread's
     priority (the perverted policies demote to bucket [min_prio]). *)
 
-val push_head_at : pq -> tcb -> int -> unit
-
 val remove : pq -> tcb -> unit
 (** Unlink wherever the thread sits; no-op if it is not in this queue. *)
 
@@ -65,5 +63,3 @@ val iter : pq -> (tcb -> unit) -> unit
 val fold : pq -> ('a -> tcb -> 'a) -> 'a -> 'a
 val to_list : pq -> tcb list
 
-val highest_bit : int -> int
-(** Highest set bit of a non-zero word (exposed for tests). *)

@@ -23,7 +23,6 @@ let create k ?(chunk_bytes = 256 * 1024) ?(slab_bytes = 17 * 1024) ~use_pool () 
     pool_enabled = use_pool; n_allocs = 0; live_slabs = 0; peak_slabs = 0 }
 
 let use_pool t = t.pool_enabled
-let set_use_pool t b = t.pool_enabled <- b
 
 let alloc t bytes =
   t.n_allocs <- t.n_allocs + 1;
@@ -81,6 +80,4 @@ let release_slab t =
 let pool_size t = t.pool
 let allocations t = t.n_allocs
 let brk_bytes t = t.brk
-let live_slabs t = t.live_slabs
 let peak_slabs t = t.peak_slabs
-let slab_size t = t.slab_bytes

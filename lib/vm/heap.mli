@@ -16,10 +16,9 @@
       carve when empty (two separate allocations with the pool disabled).
 
     The module also keeps the process's simulated memory ledger: [brk_bytes]
-    is the total the arena has obtained from [sbrk], and
-    [live_slabs]/[peak_slabs] count thread slabs in use, so a scaling
-    benchmark can report measured bytes per thread
-    ([brk_bytes / peak_slabs]). *)
+    is the total the arena has obtained from [sbrk], and [peak_slabs]
+    is the most thread slabs ever in use at once, so a scaling benchmark
+    can report measured bytes per thread ([brk_bytes / peak_slabs]). *)
 
 type t
 
@@ -29,7 +28,6 @@ val create :
     [slab_bytes] the size of one TCB+stack slab (default 17 KiB). *)
 
 val use_pool : t -> bool
-val set_use_pool : t -> bool -> unit
 
 val preallocate : t -> int -> unit
 (** Fill the pool with that many slabs (charged as bulk allocation; done at
@@ -57,11 +55,5 @@ val brk_bytes : t -> int
 (** Total bytes the arena has obtained from [sbrk] — the simulated
     process's heap footprint (never shrinks). *)
 
-val live_slabs : t -> int
-(** Thread slabs currently in use. *)
-
 val peak_slabs : t -> int
-(** High-water mark of [live_slabs]. *)
-
-val slab_size : t -> int
-(** Bytes of one TCB+stack slab. *)
+(** High-water mark of thread slabs in use. *)

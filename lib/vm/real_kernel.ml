@@ -21,6 +21,7 @@ type t = {
   bell_rd : Unix.file_descr;
   bell_wr : Unix.file_descr;
   bell_users : int Atomic.t;  (* rings in flight; -1 once the pipe is closed *)
+  forwards : Sigset.signo list;  (* the simulated signos of [forward_signals] *)
   mutable saved_handlers : (int * Sys.signal_behavior) list;
   mutable last_poll_ns : int;
   mutable hot : bool;  (* the previous poll fired a watch: poll eagerly *)
@@ -173,12 +174,16 @@ let wait t ~deadline_ns =
     else
       let now = Unix_kernel.now t.kernel in
       (* the doorbell is not a source of its own: only another domain
-         rings it, so a lone engine with nothing else is still deadlocked *)
-      let can_wake_externally =
-        t.watches <> [] || t.saved_handlers <> []
-      in
+         rings it, so a lone engine with nothing else is still
+         deadlocked; nor is a forwarded host signal whose delivery would
+         make no thread runnable (asked only with no deadline and no
+         watch) *)
       match deadline_ns with
-      | None when not can_wake_externally -> false (* provable deadlock *)
+      | None
+        when t.watches = []
+             && not (List.exists (Unix_kernel.signal_wakes t.kernel) t.forwards)
+        ->
+          false (* provable deadlock *)
       | _ ->
           let timeout_ns =
             match deadline_ns with
@@ -311,6 +316,7 @@ let create ?(profile = Cost_model.free) ?(forward_signals = default_forwards)
       bell_rd;
       bell_wr;
       bell_users = Atomic.make 0;
+      forwards = List.map snd forward_signals;
       saved_handlers = [];
       last_poll_ns = 0;
       hot = false;

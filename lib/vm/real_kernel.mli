@@ -20,6 +20,10 @@
     - A self-pipe doorbell sits in every idle [ppoll]: [wake] (from any
       domain) and the forwarded-signal handlers write it, so an idle
       [wait] with no deadline blocks until an fd, a signal or a wake.
+      With no deadline and no watch it blocks only if some forwarded
+      signal could make a thread runnable
+      ({!Unix_kernel.signal_wakes}); otherwise it returns [false], and
+      the engine reports the deadlock.
     - Sockets are nonblocking loopback TCP, exposed as the
       {!Backend.net_ops} small-int handles.
 

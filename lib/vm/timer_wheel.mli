@@ -91,5 +91,4 @@ val cascades : 'a t -> int
 (**/**)
 
 val levels : int
-val slots_per_level : int
-(** Geometry, exposed for the property test. *)
+(** Wheel levels: the most times one timer cascades. *)

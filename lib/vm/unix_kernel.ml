@@ -90,6 +90,7 @@ type t = {
   mutable blocked_io_ns : int;
   mutable trap_fault_hook : (string -> int option) option;
   mutable n_trap_faults : int;
+  mutable signal_wakes : Sigset.signo -> bool;
 }
 
 exception Trap_fault of string * int
@@ -138,6 +139,7 @@ let create ?clock prof =
       blocked_io_ns = 0;
       trap_fault_hook = None;
       n_trap_faults = 0;
+      signal_wakes = (fun _ -> true);
     }
   in
   t
@@ -194,8 +196,6 @@ let sigaction t signo disp =
   trap t Sigaction;
   t.dispositions.(signo) <- disp
 
-let disposition t signo = t.dispositions.(signo)
-
 let sigsetmask t mask =
   t.n_sigsetmask <- t.n_sigsetmask + 1;
   trap t Sigsetmask;
@@ -204,6 +204,8 @@ let sigsetmask t mask =
   old
 
 let proc_mask t = t.mask
+let set_signal_wakes t f = t.signal_wakes <- f
+let signal_wakes t signo = t.signal_wakes signo
 
 let post_signal t signo ?(code = 0) ~origin () =
   assert (Sigset.is_valid signo);

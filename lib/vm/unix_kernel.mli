@@ -111,8 +111,6 @@ val window_underflow : t -> unit
 val sigaction : t -> Sigset.signo -> disposition -> unit
 (** Install a disposition (a kernel call). *)
 
-val disposition : t -> Sigset.signo -> disposition
-
 val sigsetmask : t -> Sigset.t -> Sigset.t
 (** Replace the process signal mask; returns the previous mask.  A kernel
     call — the paper stresses these must be minimized ("two calls to
@@ -120,6 +118,17 @@ val sigsetmask : t -> Sigset.t -> Sigset.t
     see {!sigsetmask_count}. *)
 
 val proc_mask : t -> Sigset.t
+
+val set_signal_wakes : t -> (Sigset.signo -> bool) -> unit
+(** Install the library's answer to "could delivering this signal now
+    make a thread runnable?".  The library above the kernel knows its
+    handlers and its [sigwait]ers; the kernel does not.  Default: always
+    [true]. *)
+
+val signal_wakes : t -> Sigset.signo -> bool
+(** Ask the installed answer.  An idle backend asks it, for each signal
+    it forwards, only when it has no deadline and no watch: a signal
+    that wakes nobody cannot end a deadlock. *)
 
 val post_signal : t -> Sigset.signo -> ?code:int -> origin:origin -> unit -> unit
 (** Generate a signal for the process.  BSD semantics: if the same signal is

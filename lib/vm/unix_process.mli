@@ -13,20 +13,14 @@
     kernel scheduler — which is why it is several times more expensive than
     the library's thread switch (which only touches the register windows). *)
 
-val process_switch_cost_ns : Cost_model.profile -> int
-(** The modeled cost of one full process context switch (window flush +
-    window underflow + full-context extras + scheduler work). *)
-
 val signal_roundtrip_ns : Cost_model.profile -> iterations:int -> float
 (** Average cost of a process sending itself a signal and handling it
     ([kill] + delivery + empty handler + [sigreturn]) — Table 2's "UNIX
     signal handler" row.  Runs on a private {!Unix_kernel}. *)
 
-val pingpong_iteration_ns : Cost_model.profile -> iterations:int -> float
-(** Average cost of one leg of the two-process signal ping-pong: [kill] to
-    the peer, [sigpause], a full process switch, then delivery on the peer.
-    Two kernels share one clock. *)
-
 val context_switch_ns : Cost_model.profile -> iterations:int -> float
-(** The paper's subtraction: {!pingpong_iteration_ns} minus
-    {!signal_roundtrip_ns} — Table 2's "UNIX process context switch" row. *)
+(** The paper's subtraction: the average cost of one leg of the
+    two-process signal ping-pong ([kill] to the peer, [sigpause], a full
+    process switch, then delivery on the peer; two kernels share one
+    clock) minus {!signal_roundtrip_ns} — Table 2's "UNIX process context
+    switch" row. *)

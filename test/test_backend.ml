@@ -648,11 +648,12 @@ let test_unix_client_reset_mid_request () =
 
 (* Unix backend: a cancelled reader leaves no watch behind.  Main
    cancels a thread blocked in [Net.read], then waits on a cond nobody
-   signals.  No host signal is forwarded and the connection stays idle,
-   so no event can ever arrive: the run must stop with [Deadlock], not
-   sleep in [ppoll] on the dead reader's watch. *)
-let test_unix_cancelled_reader_then_deadlock () =
-  let backend = Pthreads.unix_backend ~forward_signals:[] () in
+   signals.  The connection stays idle, and no forwarded host signal has
+   a handler or a sigwaiter, so no event can ever arrive: the run must
+   stop with [Deadlock], not sleep in [ppoll] on the dead reader's
+   watch. *)
+let cancelled_reader_then_deadlock make_backend () =
+  let backend = make_backend () in
   let outcome =
     within ~seconds:1. (fun () ->
         match
@@ -683,6 +684,80 @@ let test_unix_cancelled_reader_then_deadlock () =
         | exception Types.Process_stopped (Types.Deadlock _) -> "deadlock")
   in
   check string "stops with Deadlock" "deadlock" outcome
+
+let test_unix_cancelled_reader_then_deadlock =
+  cancelled_reader_then_deadlock (fun () ->
+      Pthreads.unix_backend ~forward_signals:[] ())
+
+let test_unix_default_cancelled_reader_then_deadlock =
+  cancelled_reader_then_deadlock (fun () -> Pthreads.unix_backend ())
+
+(* The default unix backend forwards SIGUSR1, SIGUSR2 and SIGHUP.  None
+   of them has a handler or a sigwaiter in these programs, so their
+   arrival could wake nobody, and each deadlock stops at once instead of
+   blocking in [ppoll]. *)
+let default_unix_deadlock main () =
+  let outcome =
+    within ~seconds:1. (fun () ->
+        match Pthreads.run ~backend:(Pthreads.unix_backend ()) main with
+        | _ -> "returned"
+        | exception Types.Process_stopped (Types.Deadlock _) -> "deadlock")
+  in
+  check string "stops with Deadlock" "deadlock" outcome
+
+let test_unix_default_unsignalled_cond =
+  default_unix_deadlock (fun proc ->
+      let m = Mutex.create proc () and c = Cond.create proc () in
+      Mutex.lock proc m;
+      ignore (Cond.wait proc c m : Cond.wait_result);
+      0)
+
+let test_unix_default_join_cycle =
+  default_unix_deadlock (fun proc ->
+      let t = Pthread.create proc (fun () -> ignore (Pthread.join proc 0); 0) in
+      ignore (Pthread.join proc t);
+      0)
+
+let test_unix_default_mutex_cycle =
+  default_unix_deadlock (fun proc ->
+      let a = Mutex.create proc () and b = Mutex.create proc () in
+      Mutex.lock proc a;
+      let t =
+        Pthread.create_unit proc (fun () ->
+            Mutex.lock proc b;
+            Mutex.lock proc a)
+      in
+      (* [t] takes [b] and blocks on [a] *)
+      Pthread.yield proc;
+      Mutex.lock proc b;
+      ignore (Pthread.join proc t);
+      0)
+
+(* ...but a thread in [sigwait] on a forwarded signal can be woken by the
+   host: with nothing else runnable the run is not a deadlock, and a
+   [kill] from another domain 100 ms later ends the wait. *)
+let test_unix_default_sigwaiter_not_deadlocked () =
+  let status, _ =
+    within ~seconds:10. (fun () ->
+        Pthreads.run ~backend:(Pthreads.unix_backend ()) (fun proc ->
+            let usr1 = Sigset.singleton Sigset.sigusr1 in
+            ignore (Signal_api.set_mask proc `Block usr1 : Sigset.t);
+            let waiter =
+              Pthread.create proc (fun () -> Signal_api.sigwait proc usr1)
+            in
+            let killer =
+              Domain.spawn (fun () ->
+                  Unix.sleepf 0.1;
+                  Unix.kill (Unix.getpid ()) Sys.sigusr1)
+            in
+            let got = Pthread.join proc waiter in
+            Domain.join killer;
+            match got with
+            | Types.Exited s when s = Sigset.sigusr1 -> 0
+            | _ -> 1))
+  in
+  check (Alcotest.option exit_status) "woken by the host kill"
+    (Some (Types.Exited 0)) status
 
 (* [Pthreads.run ~backend] owns the backend: it is shut down exactly once
    however the run ends — main returns, the process deadlocks
@@ -751,6 +826,15 @@ let suite =
             test_unix_client_reset_mid_request;
           tc "unix: cancelled reader, then an unsignalled cond: deadlock"
             test_unix_cancelled_reader_then_deadlock;
+          tc "unix default: cancelled reader, then an unsignalled cond: deadlock"
+            test_unix_default_cancelled_reader_then_deadlock;
+          tc "unix default: unsignalled cond is a deadlock"
+            test_unix_default_unsignalled_cond;
+          tc "unix default: join cycle is a deadlock" test_unix_default_join_cycle;
+          tc "unix default: AB/BA mutex cycle is a deadlock"
+            test_unix_default_mutex_cycle;
+          tc "unix default: a sigwaiter is woken by a host kill"
+            test_unix_default_sigwaiter_not_deadlocked;
           tc "run shuts the backend down once on every exit"
             test_run_shuts_backend_down_once;
         ] );

@@ -375,10 +375,11 @@ let test_post_all_reaches_every_shard () =
 (* Idle shards park; pushes, steals and the doorbell wake them     *)
 (* -------------------------------------------------------------- *)
 
-(* Pool shutdown: the last [task_done] sets the finished flag before it
-   queues [Stop], so a shard can see the flag while its service thread
-   is still parked.  The idle seam must unpark it rather than let the
-   plain virtual backend report a deadlock. *)
+(* Pool shutdown: the last [task_done] sets the finished flag and then
+   rings the shards, so a shard can see the flag in its idle seam before
+   its pump has given back the engine's unit.  The seam must hand the
+   flag to the pump rather than let the plain virtual backend report a
+   deadlock. *)
 let test_pool_shutdown_no_false_deadlock () =
   let stopped = ref 0 in
   for i = 1 to 200 do
@@ -397,41 +398,68 @@ let test_pool_shutdown_no_false_deadlock () =
 
 (* A two-shard await cycle: every shard ends up parked with an empty
    inbox, which the pool reports instead of hanging. *)
+let await_cycle_verdict ?backend_for () =
+  within ~seconds:10. (fun () ->
+      match
+        Shard.run_parallel ~domains:2 ?backend_for (fun proc ->
+            let ha = Atomic.make None and hb = Atomic.make None in
+            let rec get cell p =
+              match Atomic.get cell with
+              | Some h -> h
+              | None ->
+                  Pthread.yield p;
+                  get cell p
+            in
+            let a =
+              Shard.spawn proc ~home:1 (fun p ->
+                  ignore (Shard.await p (get hb p));
+                  0)
+            in
+            Atomic.set ha (Some a);
+            let b =
+              Shard.spawn proc ~home:0 (fun p ->
+                  ignore (Shard.await p (get ha p));
+                  0)
+            in
+            Atomic.set hb (Some b);
+            ignore (Shard.await proc a);
+            0)
+      with
+      | _ -> None
+      | exception Types.Process_stopped (Types.Deadlock msg) -> Some msg)
+
 let test_cross_shard_deadlock_raises () =
-  let verdict =
-    within ~seconds:10. (fun () ->
-        match
-          Shard.run_parallel ~domains:2 (fun proc ->
-              let ha = Atomic.make None and hb = Atomic.make None in
-              let rec get cell p =
-                match Atomic.get cell with
-                | Some h -> h
-                | None ->
-                    Pthread.yield p;
-                    get cell p
-              in
-              let a =
-                Shard.spawn proc ~home:1 (fun p ->
-                    ignore (Shard.await p (get hb p));
-                    0)
-              in
-              Atomic.set ha (Some a);
-              let b =
-                Shard.spawn proc ~home:0 (fun p ->
-                    ignore (Shard.await p (get ha p));
-                    0)
-              in
-              Atomic.set hb (Some b);
-              ignore (Shard.await proc a);
-              0)
-        with
-        | _ -> None
-        | exception Types.Process_stopped (Types.Deadlock msg) -> Some msg)
+  if await_cycle_verdict () = None then
+    Alcotest.fail "the await cycle completed"
+
+(* The same cycle on default unix backends: the forwarded host signals
+   have no handler and no sigwaiter, so each shard's backend has nothing
+   that could wake it and the domains park into the same verdict. *)
+let test_unix_cross_shard_deadlock_raises () =
+  let backend_for _ = Pthreads.unix_backend () in
+  if await_cycle_verdict ~backend_for () = None then
+    Alcotest.fail "the await cycle completed"
+
+(* A cross-shard round trip costs the task's dispatch and the awaiter's,
+   whichever shard runs the task: inbox messages are applied at the
+   pump, with no thread of their own to dispatch. *)
+let test_round_trip_dispatches () =
+  let trips = 100 in
+  let o =
+    Shard.run_parallel ~domains:2 (fun proc ->
+        for _ = 1 to trips do
+          ignore (Shard.await proc (Shard.spawn proc ~home:1 (fun _ -> 0)))
+        done;
+        0)
   in
-  if verdict = None then Alcotest.fail "the await cycle completed"
+  let total = Array.fold_left ( + ) 0 o.Shard.dispatches in
+  check bool
+    (Printf.sprintf "%d dispatches for %d round trips" total trips)
+    true
+    (float_of_int total <= (2.5 *. float_of_int trips) +. 10.)
 
 (* Busy-wait on the host clock without a checkpoint, so the calling
-   shard's service thread cannot run meanwhile. *)
+   shard's pump cannot apply its inbox meanwhile. *)
 let spin_until ~ns stop =
   let t0 = Vm.Real_clock.now_ns () in
   while (not (stop ())) && Vm.Real_clock.now_ns () - t0 < ns do
@@ -617,6 +645,9 @@ let suite =
         tc "post_all reaches every shard" test_post_all_reaches_every_shard;
         tc "pool shutdown: no false deadlock" test_pool_shutdown_no_false_deadlock;
         tc "cross-shard await cycle raises" test_cross_shard_deadlock_raises;
+        tc "unix cross-shard await cycle raises"
+          test_unix_cross_shard_deadlock_raises;
+        tc "round trips: two dispatches each" test_round_trip_dispatches;
         tc "parked shard steals a burst" test_parked_shard_steals_burst;
         tc "unix await woken by the doorbell" test_unix_await_woken_by_doorbell;
         tc "inbox contention: each task once, its own status"

@@ -143,4 +143,16 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# 11. Shards have no service thread.  A shard's backend pump applies its
+#     inbox inside the kernel and its idle wait steals, so no green thread
+#     of the shard's own may come back to do either: lib/pthreads/shard.ml
+#     blocks nothing on a shared-object reason (an await blocks on the
+#     typed [On_await]), sets no signal mask and unparks no service.
+hits=$(grep -nE 'On_shared|Signal_api|unpark_service' lib/pthreads/shard.ml)
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: service-thread machinery in lib/pthreads/shard.ml — apply messages in the wrapped pump, steal in the wrapped wait" >&2
+  fail=1
+fi
+
 exit $fail
