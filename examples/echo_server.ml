@@ -6,7 +6,7 @@
      echo_server --backend vm     simulated load, thousands of clients,
                                   deterministic virtual time
      echo_server --backend unix   the same code serving real loopback TCP
-                                  sockets through the ppoll event loop
+                                  sockets through the epoll event loop
      echo_server                  both, one after the other
 
    [--json FILE] writes a "serving" table (throughput, p50/p99) to the

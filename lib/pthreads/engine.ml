@@ -792,31 +792,24 @@ let signal_wakes eng s =
           | _ -> false)
         false
 
-(* Wake the threads whose socket watches fired in the backend's last poll,
-   in poll order.  A fired requester is a tid: one that is no longer
-   blocked in an I/O wait (it was cancelled, or the tid was reaped) is
-   skipped, and a recycled tid now in some other I/O wait gets a spurious
-   wake that its retry loop absorbs. *)
-let wake_io_ready eng =
-  match Unix_kernel.take_io_ready eng.vm with
-  | [] -> ()
-  | tids ->
+(* Wake a thread whose socket slot fired (the backend's poll, or a
+   close), inside the kernel.  A fired requester is a tid: one that is no
+   longer blocked in an I/O wait (it was cancelled, or the tid was
+   reaped) is skipped, and a recycled tid now in some other I/O wait gets
+   a spurious wake that its retry loop absorbs. *)
+let wake_io_ready eng tid =
+  match find_thread eng tid with
+  | Some ({ state = Blocked (On_io _); _ } as t) ->
       let saved = eng.kernel_flag in
       set_kernel_flag eng true;
-      List.iter
-        (fun tid ->
-          match find_thread eng tid with
-          | Some ({ state = Blocked (On_io _); _ } as t) ->
-              unblock eng t Wake_normal
-          | Some _ | None -> ())
-        tids;
+      unblock eng t Wake_normal;
       set_kernel_flag eng saved
+  | Some _ | None -> ()
 
 let poll_signals eng =
   (* Import external events first (real fd readiness, forwarded host
      signals); a no-op closure on the virtual backend. *)
   eng.backend.Backend.pump ();
-  wake_io_ready eng;
   Unix_kernel.check_events eng.vm;
   try
     while Unix_kernel.has_deliverable eng.vm do
@@ -1222,7 +1215,7 @@ let run_scheduler eng =
             let engine_next = if next = max_int then None else Some next in
             (* the backend sleeps until the next event: the virtual one
                advances the clock to the deadline (deadlock when there is
-               none); the Unix one blocks in ppoll and may wake on
+               none); the Unix one blocks in epoll and may wake on
                external events even without a deadline; a [Machine]
                process yields to its machine *)
             if eng.backend.Backend.wait ~deadline_ns:engine_next then begin
@@ -1433,6 +1426,7 @@ let make ?clock ?backend ?main cfg =
     (fun s -> Unix_kernel.sigaction vm s catch)
     (Sigset.to_list Sigset.all_maskable);
   Unix_kernel.set_signal_wakes vm (signal_wakes eng);
+  Unix_kernel.set_io_ready vm (wake_io_ready eng);
   eng.actions.(Sigset.sigchld) <- Sig_ignore;
   eng.actions.(Sigset.sigio) <- Sig_ignore;
   if cfg.use_pool && cfg.pool_prealloc > 0 then

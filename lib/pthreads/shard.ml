@@ -35,10 +35,10 @@ open Types
    blocks in the UNIX kernel until the SIGIO doorbell rings.  Its wait
    seam first tries to steal; then it lets the backend wait for the real
    deadline (the virtual clock jumps there; the unix loop blocks in
-   ppoll), and only when the backend has nothing that could ever wake it
+   epoll), and only when the backend has nothing that could ever wake it
    does the domain park on its condition.  Every inbox push rings the
    target shard: it signals the condition and calls the backend's [wake]
-   doorbell, which ends a blocked ppoll.
+   doorbell, which ends a blocked epoll wait.
 
    Work migrates only by stealing, and only work that has not started:
    an idle shard with no ready threads takes up to half of the [Spawn]
@@ -167,7 +167,7 @@ let make_pool n =
 
 (* Wake [shard]'s domain if it is in its idle seam: signal its condition
    (it may be parked there) and ring its backend's doorbell (it may be
-   blocked in ppoll).  The caller has already published what ends the
+   blocked in epoll).  The caller has already published what ends the
    idleness, and a shard marks itself idle before it looks, so a shard
    that is not idle yet will see it. *)
 let ring pool shard =

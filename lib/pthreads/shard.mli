@@ -22,7 +22,7 @@
     {!run_parallel} (or [Pthreads.run ~domains]).
 
     An idle shard never polls: its backend waits for the next deadline
-    (a virtual clock jump, or a unix [ppoll]), and with none it parks
+    (a virtual clock jump, or a unix epoll wait), and with none it parks
     its domain until another shard queues a message for it, which rings
     the backend's [wake] doorbell.  When every shard is parked with
     every inbox empty, the pool fails with [Process_stopped (Deadlock _)]

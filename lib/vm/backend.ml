@@ -3,12 +3,13 @@ type kind = Virtual | Unix_loop
 type net_ops = {
   net_listen : port:int -> backlog:int -> int;
   net_port : int -> int;
-  net_connect : port:int -> int;
-  net_accept : int -> int option;
-  net_read : int -> bytes -> pos:int -> len:int -> int option;
-  net_write : int -> bytes -> pos:int -> len:int -> int option;
+  net_socket : unit -> int;
+  net_connect : int -> port:int -> int;
+  net_accept : int -> int;
+  net_read : int -> bytes -> pos:int -> len:int -> int;
+  net_write : int -> bytes -> pos:int -> len:int -> int;
   net_watch : int -> [ `Read | `Write ] -> requester:int -> unit;
-  net_unwatch : requester:int -> unit;
+  net_unwatch : int -> [ `Read | `Write ] -> requester:int -> unit;
   net_close : int -> unit;
 }
 

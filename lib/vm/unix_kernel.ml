@@ -78,8 +78,7 @@ type t = {
   mutable io_done : int list;
       (* requesters of unconsumed completions, one per completion, in
          the same order *)
-  mutable io_ready : int list;
-      (* requesters of fired readiness watches, newest first; no signal *)
+  mutable io_ready : int -> unit;  (* the library's wake of a requester *)
   traps_by_sys : int array;  (* indexed by [syscall_index] *)
   mutable traps_total : int;
   mutable n_sigsetmask : int;
@@ -128,7 +127,7 @@ let create ?clock prof =
         (fun tm -> post t (Timer_wheel.tag tm) 0 (Timer_wheel.payload tm));
       io_queue = [];
       io_done = [];
-      io_ready = [];
+      io_ready = ignore;
       traps_by_sys;
       traps_total = 0;
       n_sigsetmask = 0;
@@ -313,16 +312,8 @@ let check_events t =
   Timer_wheel.advance t.timers ~now:time ~fire:t.fire_timer;
   complete_due t time
 
-let record_io_ready t ~requester = t.io_ready <- requester :: t.io_ready
-let has_io_ready t = t.io_ready <> []
-
-(* Runs at every checkpoint: the usual empty case stores nothing. *)
-let take_io_ready t =
-  match t.io_ready with
-  | [] -> []
-  | l ->
-      t.io_ready <- [];
-      List.rev l
+let set_io_ready t f = t.io_ready <- f
+let io_ready t ~requester = t.io_ready requester
 
 let take_io_completion t ~requester =
   let rec drop = function

@@ -127,7 +127,7 @@ val set_signal_wakes : t -> (Sigset.signo -> bool) -> unit
 
 val signal_wakes : t -> Sigset.signo -> bool
 (** Ask the installed answer.  An idle backend asks it, for each signal
-    it forwards, only when it has no deadline and no watch: a signal
+    it forwards, only when it has no deadline and no filled slot: a signal
     that wakes nobody cannot end a deadlock. *)
 
 val post_signal : t -> Sigset.signo -> ?code:int -> origin:origin -> unit -> unit
@@ -193,17 +193,14 @@ val blocking_io_ns : t -> int
 (** Total virtual time this process has spent stalled in blocking kernel
     I/O. *)
 
-val record_io_ready : t -> requester:int -> unit
-(** Record that a readiness watch registered by thread [requester] fired
-    (the Unix backend's [ppoll] loop).  Posts no signal: the library wakes
-    the requester directly when it drains the list ({!take_io_ready}). *)
+val set_io_ready : t -> (int -> unit) -> unit
+(** Install the library's wake of a thread, by tid, whose readiness slot
+    fired.  Default: ignore it. *)
 
-val take_io_ready : t -> int list
-(** Remove and return the recorded requesters, oldest first (poll
-    order).  A requester appears once per fired watch. *)
-
-val has_io_ready : t -> bool
-(** Whether {!take_io_ready} would return a non-empty list. *)
+val io_ready : t -> requester:int -> unit
+(** A readiness slot filled by thread [requester] fired (the Unix
+    backend's poll, or a close): wake it through the installed wake, at
+    once and without a signal. *)
 
 val take_io_completion : t -> requester:int -> bool
 (** Consume one recorded I/O completion for the thread, if any.  SIGIO is

@@ -105,7 +105,7 @@ if [ -n "$hits" ]; then
 fi
 
 # 8. One host wait and one host clock.  The unix backend waits in the
-#    ppoll stub (nanosecond timeout, zeroed timer slack, no FD_SETSIZE
+#    epoll stub (nanosecond timeout, zeroed timer slack, no FD_SETSIZE
 #    ceiling) and reads time from the CLOCK_MONOTONIC stub behind
 #    Vm.Real_clock; select(2) and the steppable microsecond wall clock
 #    must not creep back into the library.
@@ -113,7 +113,7 @@ hits=$(grep -rnE --include='*.ml' --include='*.mli' \
   'Unix\.(select|gettimeofday)' lib/)
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits" >&2
-  echo "lint: Unix.select/Unix.gettimeofday in lib/ — wait in Real_kernel's ppoll and read Vm.Real_clock" >&2
+  echo "lint: Unix.select/Unix.gettimeofday in lib/ — wait in Real_kernel's epoll wait and read Vm.Real_clock" >&2
   fail=1
 fi
 
@@ -152,6 +152,20 @@ hits=$(grep -nE 'On_shared|Signal_api|unpark_service' lib/pthreads/shard.ml)
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits" >&2
   echo "lint: service-thread machinery in lib/pthreads/shard.ml — apply messages in the wrapped pump, steal in the wrapped wait" >&2
+  fail=1
+fi
+
+# 12. One registration per socket.  The unix backend registers each
+#     socket with epoll once and keeps its waiters in the socket's two
+#     slots; its socket calls are the non-blocking stubs of real_stubs.c,
+#     which answer would-block with a negative int.  No Unix socket call,
+#     no EAGAIN/EWOULDBLOCK exception and no rebuilt poll set may come
+#     back in lib/vm/real_kernel.ml.
+hits=$(grep -nE '\bUnix\.(read|write|accept|connect)\b|\b(EAGAIN|EWOULDBLOCK)\b|rebuild_poll_set|cache_ok|ppoll' \
+  lib/vm/real_kernel.ml)
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: poll-set or raising socket call in lib/vm/real_kernel.ml — register once (epoll_add), fill a slot, call the real_stubs.c socket stubs" >&2
   fail=1
 fi
 
