@@ -25,8 +25,11 @@
       {!Unix_kernel.check_events}, to import external events;
     - {!t.wait} runs when every thread is blocked, to sleep until the next
       event.  The virtual closure advances the clock to the deadline; the
-      Unix closure blocks in epoll until the deadline, with the host
-      thread's timer slack zeroed so the wakeup is not deferred.
+      Unix closure blocks in epoll until 200 us before the deadline, at
+      1 ns timer slack (Linux still stretches a timeout by 1/1000 of
+      itself), and polls without blocking through the rest, so neither
+      the slack of a block shorter than 200 ms nor the host's wake-up
+      cost defers the wakeup.
 
     A third entry, {!t.wake}, is for other domains: it ends a blocked
     [wait] (the multi-core shard layer rings it when it queues work for

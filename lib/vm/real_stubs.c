@@ -1,9 +1,13 @@
 /* Host seams of the unix backend: the monotonic clock, the epoll wait
    and the calls on its non-blocking sockets.
 
-   Linux stretches every timed sleep of a thread by its timer slack (50 us
-   by default), so a deadline-driven wait overshoots by about that much.
-   The first blocking wait on each host thread sets the slack to 1 ns. */
+   Linux stretches a poll's timeout by a slack of max(the thread's timer
+   slack, timeout / 1000) (fs/select.c, select_estimate_accuracy).  The
+   timer slack is 50 us by default; the first blocking wait on each host
+   thread sets it to 1 ns, which leaves timeout / 1000: under 1 us for a
+   wait shorter than 1 ms, but 100 us on a 100 ms wait.  The caller's
+   polling window (real_kernel.ml, 200 us) absorbs that slack for any
+   block shorter than 200 ms. */
 
 #define _GNU_SOURCE
 #include <errno.h>

@@ -84,6 +84,30 @@ let test_cond_roundtrip () =
          0));
   ()
 
+let test_cond_broadcast () =
+  ignore
+    (run_main (fun proc ->
+         let _, m = Flat.mutex_init proc () in
+         let _, c = Flat.cond_init proc () in
+         let waiter () =
+           ignore (Flat.mutex_lock proc m);
+           let s = Flat.cond_wait proc c m in
+           ignore (Flat.mutex_unlock proc m);
+           s
+         in
+         let ts = List.init 3 (fun _ -> Pthread.create proc waiter) in
+         Pthread.delay proc ~ns:50_000;
+         check st "broadcast" Flat.ok (Flat.cond_broadcast proc c);
+         List.iter
+           (fun t ->
+             match Pthread.join proc t with
+             | Types.Exited s -> check st "every waiter woke" Flat.ok s
+             | _ -> Alcotest.fail "join")
+           ts;
+         check st "bad cond" Flat.einval (Flat.cond_broadcast proc 999);
+         0));
+  ()
+
 let test_cond_errors () =
   ignore
     (run_main (fun proc ->
@@ -174,6 +198,7 @@ let suite =
         tc "trylock contended" test_trylock_contended;
         tc "ceiling validation" test_ceiling_validation;
         tc "cond roundtrip" test_cond_roundtrip;
+        tc "cond broadcast wakes every waiter" test_cond_broadcast;
         tc "cond errors" test_cond_errors;
         tc "cond timedwait" test_cond_timedwait_codes;
         tc "thread codes" test_thread_codes;

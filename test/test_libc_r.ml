@@ -43,6 +43,7 @@ let test_errno_with_saved () =
 let test_errno_names () =
   check string "EINVAL" "EINVAL" (Errno_r.name Errno_r.einval);
   check string "ETIMEDOUT" "ETIMEDOUT" (Errno_r.name Errno_r.etimedout);
+  check string "ENOMEM" "ENOMEM" (Errno_r.name Errno_r.enomem);
   check string "unknown" "E#99" (Errno_r.name 99)
 
 let test_rand_r_reproducible () =
@@ -192,6 +193,18 @@ let test_stdio_buffer_flushes_when_full () =
          0));
   ()
 
+let test_stdio_putc_flushes_on_newline () =
+  ignore
+    (run_main (fun proc ->
+         let st = Stdio_r.make proc () in
+         String.iter (Stdio_r.putc proc st) "hi";
+         check string "buffered" "" (Stdio_r.device_contents proc st);
+         Stdio_r.putc proc st '\n';
+         check string "flushed at the newline" "hi\n"
+           (Stdio_r.device_contents proc st);
+         0));
+  ()
+
 let test_strtok_r_basic () =
   check (Alcotest.list string) "tokens" [ "a"; "bb"; "ccc" ]
     (Strtok_r.tokens "a,bb,,ccc" ",");
@@ -241,6 +254,7 @@ let suite =
         tc "unlocked corrupts" test_stdio_unlocked_corrupts;
         tc "flockfile spans ops" test_stdio_flockfile_spans_ops;
         tc "flush on full" test_stdio_buffer_flushes_when_full;
+        tc "putc flushes on newline" test_stdio_putc_flushes_on_newline;
       ] );
     ( "libc_r.strtok",
       [

@@ -105,8 +105,10 @@ if [ -n "$hits" ]; then
 fi
 
 # 8. One host wait and one host clock.  The unix backend waits in the
-#    epoll stub (nanosecond timeout, zeroed timer slack, no FD_SETSIZE
-#    ceiling) and reads time from the CLOCK_MONOTONIC stub behind
+#    epoll stub (nanosecond timeout; 1 ns timer slack, though Linux still
+#    stretches a timeout by 1/1000 of itself, which Real_kernel's 200 us
+#    polling window absorbs below a 200 ms block; no FD_SETSIZE ceiling)
+#    and reads time from the CLOCK_MONOTONIC stub behind
 #    Vm.Real_clock; select(2) and the steppable microsecond wall clock
 #    must not creep back into the library.
 hits=$(grep -rnE --include='*.ml' --include='*.mli' \
@@ -166,6 +168,36 @@ hits=$(grep -nE '\bUnix\.(read|write|accept|connect)\b|\b(EAGAIN|EWOULDBLOCK)\b|
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits" >&2
   echo "lint: poll-set or raising socket call in lib/vm/real_kernel.ml — register once (epoll_add), fill a slot, call the real_stubs.c socket stubs" >&2
+  fail=1
+fi
+
+# 13. No export without a use.  A value a lib/*/*.mli exports must be
+#     named outside its own module (.ml and .mli): in lib/, bench/,
+#     perfbench/, test/, examples/ or bin/.  The match is by word, so a
+#     name also used elsewhere passes; it catches the export nobody
+#     calls.  The allowlist is Module.name pairs, each with its reason:
+#     - Sigset's signal names: the table mirrors <signal.h> whole, and a
+#       program names only the signals it handles.
+allow="Sigset.sigquit Sigset.sigill Sigset.sigabrt Sigset.sigbus
+  Sigset.sigsegv Sigset.sigpipe Sigset.sigvtalrm Sigset.sigprof"
+hits=$(grep -roE --include='*.ml' --include='*.mli' "[A-Za-z_][A-Za-z0-9_']*" \
+  lib bench perfbench test examples bin |
+  awk -F: -v allow=" $(echo $allow) " '
+    FNR == NR {
+      stem = $1; sub(/\.mli?$/, "", stem)
+      if (!((stem, $2) in seen)) { seen[stem, $2]; n[$2]++; home[$2] = stem }
+      next
+    }
+    match($0, /^[[:space:]]*val [a-z_][A-Za-z0-9_'"'"']*/) {
+      v = substr($0, RSTART, RLENGTH); sub(/^[[:space:]]*val /, "", v)
+      stem = FILENAME; sub(/\.mli$/, "", stem)
+      m = stem; sub(/.*\//, "", m); m = toupper(substr(m, 1, 1)) substr(m, 2)
+      if (n[v] == 1 && home[v] == stem && index(allow, " " m "." v " ") == 0)
+        print FILENAME ":" FNR ": val " v
+    }' - lib/*/*.mli)
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: export with no use outside its module — delete it, use it, or allowlist it with a reason in tools/lint.sh" >&2
   fail=1
 fi
 
