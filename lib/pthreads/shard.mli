@@ -21,10 +21,11 @@
     parallel mode is a layer above it, entered only through
     {!run_parallel} (or [Pthreads.run ~domains]).
 
-    An idle shard never polls: its backend waits for the next deadline
-    (a virtual clock jump, or a unix epoll wait), and with none it parks
-    its domain until another shard queues a message for it, which rings
-    the backend's [wake] doorbell.  When every shard is parked with
+    An idle shard polls for at most 200 us, through the last 200 us
+    before a deadline: its backend waits for the next deadline (a
+    virtual clock jump, or a unix epoll wait that polls through that
+    window), and with none it parks its domain until another shard
+    queues a message for it, which rings the backend's [wake] doorbell.  When every shard is parked with
     every inbox empty, the pool fails with [Process_stopped (Deadlock _)]
     as a single engine does.  A shard on a unix backend parks too once
     nothing could wake it — no deadline, no watched fd, and no forwarded
