@@ -857,9 +857,9 @@ let sched_latency n_threads =
     Pthread.make_proc (fun proc ->
         (* Every thread first sleeps until one shared absolute deadline
            placed past the end of the arm phase: N one-shot timers are
-           simultaneously armed in the wheel (timers_armed peak = N) and
-           expire on the same tick, so the wakeup is one mass batch
-           through the sleep heap and a single dispatcher-flag round.
+           simultaneously armed in the kernel's timer heap (timers_armed
+           peak = N) and expire on the same tick, so the wakeup is one
+           mass batch through the sleep index and a single dispatcher-flag round.
            All of it resolves in the first two dispatches per thread,
            before the measured window. *)
         let deadline = Pthread.now proc + (n_threads * 500_000) in
@@ -916,24 +916,23 @@ let sched () =
   List.iter (fun n -> pp_sched_row (sched_latency n)) sched_thread_counts
 
 (* ------------------------------------------------------------------ *)
-(* Timer scaling: the hierarchical timing wheel under load              *)
+(* Timer scaling: the deadline heap under load                         *)
 (* ------------------------------------------------------------------ *)
 
 type timer_row = {
   tr_timers : int;
   tr_ns_per_op : float;  (** host ns per arm+fire *)
-  tr_fired : int;  (** timer expirations processed by the wheel *)
+  tr_fired : int;  (** timer expirations processed by the heap *)
   tr_delivered : int;
       (** SIGALRMs actually delivered — far fewer: concurrent expirations
           collapse into one pending slot (BSD non-queuing signals) *)
   tr_peak_armed : int;
-  tr_cascades : int;
 }
 
 (* Arm n one-shot timers with deterministically scattered deadlines over a
-   1 s window (hitting every wheel level), then advance the clock through
-   the window in coarse steps draining expiries.  Host ns per (arm + fire)
-   must stay flat as n grows — the wheel's O(1) claim. *)
+   1 s window, then advance the clock through the window in coarse steps
+   draining expiries.  Host ns per (arm + fire) may grow only with
+   log n — the heap's O(log n) claim. *)
 let timer_pass n =
   let k = K.create Cost_model.sparc_ipx in
   let fired = ref 0 in
@@ -969,7 +968,6 @@ let timer_pass n =
     tr_fired = n - K.armed_timer_count k;
     tr_delivered = !fired;
     tr_peak_armed = K.armed_timer_peak k;
-    tr_cascades = K.timer_cascades k;
   }
 
 (* One-time warm-up before any measured pass: the first pass pays
@@ -989,16 +987,14 @@ let timer_latency n =
 let timer_counts = [ 1_000; 10_000; 100_000; 1_000_000 ]
 
 let timers () =
-  sep "Timer scaling: hierarchical timing wheel, host ns per arm+fire";
+  sep "Timer scaling: deadline heap, host ns per arm+fire";
   List.iter
     (fun n ->
       let r = timer_latency n in
       Printf.printf
         "timers %7d: %8.1f ns/op  (%d fired -> %d SIGALRMs delivered, peak \
-         armed %d, %d cascades = %.2f/timer)\n%!"
-        r.tr_timers r.tr_ns_per_op r.tr_fired r.tr_delivered r.tr_peak_armed
-        r.tr_cascades
-        (float_of_int r.tr_cascades /. float_of_int r.tr_timers))
+         armed %d)\n%!"
+        r.tr_timers r.tr_ns_per_op r.tr_fired r.tr_delivered r.tr_peak_armed)
     timer_counts
 
 (* ------------------------------------------------------------------ *)
@@ -1261,9 +1257,8 @@ let write_json file =
         let r = timer_latency n in
         Printf.sprintf
           "{\"timers\": %d, \"ns_per_op\": %.1f, \"fired\": %d, \
-           \"delivered\": %d, \"peak_armed\": %d, \"cascades\": %d}"
-          r.tr_timers r.tr_ns_per_op r.tr_fired r.tr_delivered r.tr_peak_armed
-          r.tr_cascades)
+           \"delivered\": %d, \"peak_armed\": %d}"
+          r.tr_timers r.tr_ns_per_op r.tr_fired r.tr_delivered r.tr_peak_armed)
       timer_counts
   in
   let sanitize =

@@ -347,92 +347,43 @@ let recompute_inherited_prio eng o =
   set_effective_prio eng o (search o.base_prio o.owned) ~at_head:true
 
 (* ------------------------------------------------------------------ *)
-(* The sleep heap: timed waiters indexed by deadline                   *)
+(* The sleep index: timed waiters by deadline                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Binary min-heap over (deadline, tid), with lazy deletion: entries are
-   never removed when a waiter is woken early — they are discarded when
-   they surface, recognized as dead because the thread's [wait_deadline]
-   no longer matches (or it is no longer in a timed wait).  Duplicates
-   are harmless for the same reason: waking an already-ready thread is a
-   no-op. *)
-
-let sleep_lt a b = a.se_d < b.se_d || (a.se_d = b.se_d && a.se_tid < b.se_tid)
+(* A [Timer_heap] of the waiting threads, with lazy deletion: entries
+   are never removed when a waiter is woken early — they are discarded
+   when they surface, recognized as dead because the thread's
+   [wait_deadline] no longer matches (or it is no longer in a timed
+   wait).  Duplicates are harmless for the same reason: waking an
+   already-ready thread is a no-op. *)
 
 let sleep_entry_live e =
-  e.se_t.wait_deadline = e.se_d
-  && match e.se_t.state with
+  let t = Timer_heap.value e in
+  t.wait_deadline = Timer_heap.key e
+  && match t.state with
      | Blocked (On_sleep | On_cond _) -> true
      | _ -> false
-
-let sleep_push eng ~deadline t =
-  let h = eng.sleeps in
-  let e = { se_d = deadline; se_tid = t.tid; se_t = t } in
-  let cap = Array.length h.sh_arr in
-  if h.sh_len = cap then begin
-    let arr = Array.make (max 8 (2 * cap)) e in
-    Array.blit h.sh_arr 0 arr 0 cap;
-    h.sh_arr <- arr
-  end;
-  let arr = h.sh_arr in
-  let i = ref h.sh_len in
-  h.sh_len <- h.sh_len + 1;
-  let sifting = ref true in
-  while !sifting && !i > 0 do
-    let p = (!i - 1) / 2 in
-    if sleep_lt e arr.(p) then begin
-      arr.(!i) <- arr.(p);
-      i := p
-    end
-    else sifting := false
-  done;
-  arr.(!i) <- e
-
-let sleep_sift_down h =
-  let arr = h.sh_arr and n = h.sh_len in
-  let e = arr.(0) in
-  let i = ref 0 and sifting = ref true in
-  while !sifting do
-    let l = (2 * !i) + 1 in
-    if l >= n then sifting := false
-    else begin
-      let c = if l + 1 < n && sleep_lt arr.(l + 1) arr.(l) then l + 1 else l in
-      if sleep_lt arr.(c) e then begin
-        arr.(!i) <- arr.(c);
-        i := c
-      end
-      else sifting := false
-    end
-  done;
-  arr.(!i) <- e
-
-let sleep_pop_root h =
-  h.sh_len <- h.sh_len - 1;
-  if h.sh_len > 0 then begin
-    h.sh_arr.(0) <- h.sh_arr.(h.sh_len);
-    sleep_sift_down h
-  end
 
 (* Earliest live timed-wait deadline, [no_deadline] when none (dead
    entries are dropped on the way) — the idle loop's replacement for a
    fold over all threads. *)
 let rec sleep_next_deadline eng =
   let h = eng.sleeps in
-  if h.sh_len = 0 then no_deadline
+  if Timer_heap.length h = 0 then no_deadline
   else
-    let e = h.sh_arr.(0) in
-    if sleep_entry_live e then e.se_d
+    let e = Timer_heap.top h in
+    if sleep_entry_live e then Timer_heap.key e
     else begin
-      sleep_pop_root h;
+      ignore (Timer_heap.pop h : tcb Timer_heap.elt);
       sleep_next_deadline eng
     end
 
 (* Begin a timed wait: record the absolute deadline on the TCB and index
-   it in the sleep heap, so expiry processing touches only due waiters
+   it in the sleep index, so expiry processing touches only due waiters
    instead of scanning every thread. *)
 let set_wait_deadline eng t ~deadline =
   t.wait_deadline <- deadline;
-  sleep_push eng ~deadline t
+  ignore (Timer_heap.push eng.sleeps ~key:deadline t : tcb Timer_heap.elt)
 
 (* ------------------------------------------------------------------ *)
 (* Unblocking                                                          *)
@@ -514,13 +465,15 @@ let wake_expired_sleepers eng =
      no list *)
   let first = ref nil_tcb and due = ref [] in
   let draining = ref true in
-  while !draining && h.sh_len > 0 do
-    let e = h.sh_arr.(0) in
-    if sleep_entry_live e && e.se_d > time then draining := false
+  while !draining && Timer_heap.length h > 0 do
+    let e = Timer_heap.top h in
+    if sleep_entry_live e && Timer_heap.key e > time then draining := false
     else begin
-      sleep_pop_root h;
-      if sleep_entry_live e then
-        if !first == nil_tcb then first := e.se_t else due := e.se_t :: !due
+      ignore (Timer_heap.pop h : tcb Timer_heap.elt);
+      if sleep_entry_live e then begin
+        let t = Timer_heap.value e in
+        if !first == nil_tcb then first := t else due := t :: !due
+      end
     end
   done;
   if !first == nil_tcb then ()
@@ -1213,11 +1166,13 @@ let run_scheduler eng =
               min (Unix_kernel.next_event_time eng.vm) (sleep_next_deadline eng)
             in
             let engine_next = if next = max_int then None else Some next in
-            (* the backend sleeps until the next event: the virtual one
-               advances the clock to the deadline (deadlock when there is
-               none); the Unix one blocks in epoll and may wake on
-               external events even without a deadline; a [Machine]
-               process yields to its machine *)
+            (* the backend sleeps until the next event, which is exact:
+               the virtual one advances the clock to the deadline
+               (deadlock when there is none); the Unix one blocks in
+               epoll, may wake on external events even without a
+               deadline, and inside the last 200 us before one returns
+               after a single poll, so this loop spins there; a
+               [Machine] process yields to its machine *)
             if eng.backend.Backend.wait ~deadline_ns:engine_next then begin
               wake_expired_sleepers eng;
               loop ()
@@ -1355,7 +1310,7 @@ let make ?clock ?backend ?main cfg =
   and ready = Wait_queue.create ()
   and threads =
     { tt_head = None; tt_tail = None; tt_count = 0; tt_slots = Array.make 64 None }
-  and sleeps = { sh_arr = [||]; sh_len = 0 }
+  and sleeps = Timer_heap.create ()
   and actions = Array.make (Sigset.max_signo + 1) Sig_default
   and tsd_destructors = Array.make max_tsd_keys None in
   (* The handler's answer to [Suspend] is built once too: [effc] runs on

@@ -133,7 +133,7 @@ val flag_if_preempts : engine -> int -> unit
 
 val set_wait_deadline : engine -> tcb -> deadline:int -> unit
 (** Begin a timed wait: record the absolute deadline on the TCB and index
-    it in the sleep heap ([Cond] timed waits, [Pthread.delay]).  Cleared by
+    it in the sleep index ([Cond] timed waits, [Pthread.delay]).  Cleared by
     [unblock] (to {!Types.no_deadline}); the heap entry is lazily
     discarded. *)
 

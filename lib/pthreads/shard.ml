@@ -5,7 +5,7 @@ open Types
 
    Parallel mode keeps the paper's kernel intact instead of threading
    locks through it: every shard is a complete single-threaded engine —
-   its own ready bitmap, waiter queues, timing wheel, tid table and
+   its own ready bitmap, waiter queues, timer heap, tid table and
    kernel flag — pumped by one OCaml 5 domain.  Nothing inside an engine
    is ever touched by another domain.  The only cross-domain state is
 
@@ -36,9 +36,10 @@ open Types
    blocks in the UNIX kernel until the SIGIO doorbell rings.  Its wait
    seam first tries to steal; then it lets the backend wait for the real
    deadline (the virtual clock jumps there; the unix loop blocks in epoll
-   and polls through the last 200 us), and only when the backend has
-   nothing that could ever wake it does the domain park on its
-   condition.  Every inbox push rings the target shard: it signals the
+   until 200 us before it, and inside that window polls once and
+   returns, so the engine's idle loop comes back through this seam, and
+   tries a steal, on every pass), and only when the backend has nothing
+   that could ever wake it does the domain park on its condition.  Every inbox push rings the target shard: it signals the
    condition and calls the backend's [wake] doorbell, which ends a
    blocked epoll wait.
 

@@ -1,7 +1,7 @@
 (** Per-domain scheduler shards: the multi-core mode.
 
     A pool of [N] shards is [N] complete single-threaded engines — each
-    with its own ready structure, waiter queues, timing wheel, tid table
+    with its own ready structure, waiter queues, timer heap, tid table
     and kernel flag — pumped by [N] OCaml 5 domains.  Engines are never
     touched across domains; the only shared state is a mutex-guarded
     message inbox per shard, the mutex inside every {!handle}, a pool
@@ -23,9 +23,11 @@
 
     An idle shard polls for at most 200 us, through the last 200 us
     before a deadline: its backend waits for the next deadline (a
-    virtual clock jump, or a unix epoll wait that polls through that
-    window), and with none it parks its domain until another shard
-    queues a message for it, which rings the backend's [wake] doorbell.  When every shard is parked with
+    virtual clock jump, or a unix epoll wait that blocks until that
+    window and polls once per pass of the engine's idle loop inside it,
+    each pass trying a steal first), and with none it parks its domain
+    until another shard queues a message for it, which rings the
+    backend's [wake] doorbell.  When every shard is parked with
     every inbox empty, the pool fails with [Process_stopped (Deadlock _)]
     as a single engine does.  A shard on a unix backend parks too once
     nothing could wake it — no deadline, no watched fd, and no forwarded

@@ -136,7 +136,7 @@ and tcb = {
   mutable wait_deadline : int;
       (** absolute ns of the current timed wait; [no_deadline] ([max_int])
           when none.  A plain int, not an option: every timed wait would
-          otherwise box a fresh [Some], and the sleep heap compares this
+          otherwise box a fresh [Some], and the sleep index compares this
           field on its hot path. *)
   mutable n_switches_in : int;
   (* Intrusive queue links.  A thread occupies at most one priority queue
@@ -352,18 +352,6 @@ type thread_table = {
   mutable tt_slots : tcb option array;  (** index = tid; grown by doubling *)
 }
 
-(** Timed waiters ([Cond] deadlines, [Pthread.delay]), as a binary min-heap
-    ordered by (deadline, tid) with lazy deletion: an entry is dead when
-    its thread's [wait_deadline] no longer matches (woken early, or already
-    woken by its own alarm).  Replaces the all-threads scan that made every
-    alarm and every idle transition O(live threads). *)
-type sleep_entry = { se_d : int; se_tid : int; se_t : tcb }
-
-type sleep_heap = {
-  mutable sh_arr : sleep_entry array;  (** heap-ordered prefix [0, sh_len) *)
-  mutable sh_len : int;
-}
-
 (** The engine probe: the one stream through which the engine makes its
     decisions visible (the paper's "context switches could become visible
     to the user").  Every observer subscribes to it — the debugger and
@@ -436,7 +424,12 @@ type engine = {
   mutable current : tcb;
   ready : pq;  (** the dispatcher's ready structure; head of a level runs next *)
   threads : thread_table;
-  sleeps : sleep_heap;  (** pending timed-wait deadlines (lazy deletion) *)
+  sleeps : tcb Timer_heap.t;
+      (** timed waiters ([Cond] deadlines, [Pthread.delay]) by deadline,
+          with lazy deletion: an entry is dead when its thread's
+          [wait_deadline] no longer matches (woken early, or already woken
+          by its own alarm).  Replaces the all-threads scan that made every
+          alarm and every idle transition O(live threads). *)
   mutable next_tid : int;
   mutable free_tids : int list;
       (** tids of reaped threads, reused LIFO before minting new ones *)

@@ -1,10 +1,10 @@
 (** Pluggable kernel backends.
 
     The Pthreads engine consumes a narrow kernel surface — traps, the
-    process signal state, the timing wheel, asynchronous I/O completions,
+    process signal state, the timer heap, asynchronous I/O completions,
     [sbrk], and a clock — all of it the {!Unix_kernel} state machine.  Both
     backends share that state machine (so BSD signal semantics,
-    timer-wheel behaviour, and all accounting are identical by
+    timer behaviour, and all accounting are identical by
     construction) and differ only in what {e feeds} it:
 
     - the {b virtual} backend ({!virtual_}) feeds nothing: time advances
@@ -27,9 +27,10 @@
       event.  The virtual closure advances the clock to the deadline; the
       Unix closure blocks in epoll until 200 us before the deadline, at
       1 ns timer slack (Linux still stretches a timeout by 1/1000 of
-      itself), and polls without blocking through the rest, so neither
-      the slack of a block shorter than 200 ms nor the host's wake-up
-      cost defers the wakeup.
+      itself), and inside that window polls once without blocking and
+      returns, so the engine's idle loop, waiting again, spins through
+      the rest: neither the slack of a block shorter than 200 ms nor the
+      host's wake-up cost defers the wakeup.
 
     A third entry, {!t.wake}, is for other domains: it ends a blocked
     [wait] (the multi-core shard layer rings it when it queues work for
@@ -84,7 +85,11 @@ type t = {
           timer or simulated I/O is outstanding).  Returns [true] if
           progress is possible afterwards (the clock reached the deadline,
           or an external event arrived); [false] means provable deadlock:
-          no deadline, and no external event can ever arrive. *)
+          no deadline, and no external event can ever arrive.  A timed
+          Unix wait may return [true] before its deadline with nothing
+          new (a block cut short by a host signal; inside the last
+          200 us, after one zero-timeout poll): the engine then waits
+          again. *)
   wake : unit -> unit;
       (** The doorbell: callable from any domain, it makes a blocked or
           the next [wait] return [true].  It does not count as an

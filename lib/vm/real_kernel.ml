@@ -152,26 +152,18 @@ let pump t () =
    2-vCPU KVM guest 7-9 us past a 200 us timeout, ~27 us past 2 ms and
    ~90 us past 20 ms, and Linux stretches a poll's timeout by 1/1000 of
    itself (100 us on a 100 ms block), so a timed wait blocks only until
-   [spin_ns] before its deadline and then polls with a zero timeout until
-   the deadline, an event or a ring.  A block cut short by a host signal
-   that nothing forwards leaves the clock short of the window; the wait
-   then returns without polling, and the engine waits again.  A wait with
-   no deadline just blocks.  200 us is that wake cost, and the window KVM
-   itself spins before it halts a guest's idle vCPU (its default
-   [halt_poll_ns]).  A constant, not a learned window: a window grown by
-   one late wakeup would spin an idle engine on a core for good.  Each
-   poll returns to OCaml, so signal handlers and other domains'
-   collections are not held off. *)
+   [spin_ns] before its deadline.  Inside that window it polls once with
+   a zero timeout and returns [true]: the engine's idle loop waits again
+   until the deadline, an event or a ring, so that loop is the spin, and
+   it keeps the engine's path back to the woken thread warm.  A block cut
+   short by a host signal returns [true] too, and the next wait blocks
+   again.  A wait with no deadline just blocks.  200 us is that wake
+   cost, and the window KVM itself spins before it halts a guest's idle
+   vCPU (its default [halt_poll_ns]).  A constant, not a learned window:
+   a window grown by one late wakeup would spin an idle engine on a core
+   for good.  Each poll returns to OCaml, so signal handlers and other
+   domains' collections are not held off. *)
 let spin_ns = 200_000
-
-(* Poll until the clock reaches [until_ns] or a poll finds an event or a
-   ring; answer whether one did. *)
-let rec spin t until_ns =
-  poll t 0 > 0
-  || begin
-       sync_clock t;
-       Unix_kernel.now t.kernel < until_ns && spin t until_ns
-     end
 
 let wait t ~deadline_ns =
   if t.closed then false
@@ -183,7 +175,6 @@ let wait t ~deadline_ns =
       true
     end
     else
-      let now = Unix_kernel.now t.kernel in
       (* the doorbell is not a source of its own: only another domain
          rings it, so a lone engine with nothing else is still
          deadlocked; nor is a forwarded host signal whose delivery would
@@ -196,16 +187,13 @@ let wait t ~deadline_ns =
         ->
           false (* provable deadlock *)
       | _ ->
-          (match deadline_ns with
-          | Some d ->
-              if d - now <= spin_ns || poll t (d - now - spin_ns) = 0 then begin
-                sync_clock t;
-                if d - Unix_kernel.now t.kernel <= spin_ns then
-                  ignore (spin t d : bool)
-              end
-          | None ->
-              (* until a socket, a forwarded signal or a ring *)
-              ignore (poll t (-1) : int));
+          (* until a socket, a forwarded signal, a ring or the window *)
+          let timeout =
+            match deadline_ns with
+            | Some d -> max 0 (d - Unix_kernel.now t.kernel - spin_ns)
+            | None -> -1
+          in
+          ignore (poll t timeout : int);
           t.rang <- false;
           sync_clock t;
           t.polled_ns <- Unix_kernel.now t.kernel;

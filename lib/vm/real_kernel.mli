@@ -4,7 +4,7 @@
 
     - The kernel's {!Clock} is synchronized from {!Real_clock}
       ([CLOCK_MONOTONIC] nanoseconds) at every pump and wait, so timers
-      armed on the shared timing wheel fire against host monotonic time.
+      armed on the shared timer heap fire against host monotonic time.
     - Each socket is registered once with an edge-triggered epoll set and
       has a read and a write slot ({!Backend.net_watch}).  A poll fires
       the slots its events name, both on error or hang-up, and wakes
@@ -14,14 +14,15 @@
       after a poll that found events; no poll's cost grows with idle
       sockets.
     - An idle [wait] with a deadline blocks (in [ppoll] on the epoll
-      descriptor, nanosecond timeout) until 200 us before it, then polls
-      with a zero timeout until the deadline, an event or a ring; with
-      none it blocks until an event.  It polls only once the clock is
-      inside that window: a block cut short by a host signal that is
-      not forwarded returns [true] without polling.  Waking from a
-      block costs the host several us (~90 us after 20 ms on a KVM
-      guest), which the window absorbs, at the price of up to 200 us of
-      CPU per timed idle wait.  The
+      descriptor, nanosecond timeout) until 200 us before it; inside
+      that window it polls once with a zero timeout and returns [true],
+      so the engine's idle loop waits again and is itself the spin,
+      until the deadline, an event or a ring.  With no deadline it
+      blocks until an event.  A block cut short by a host signal
+      returns [true] too, before the deadline, and the next wait blocks
+      again.  Waking from a block costs the host several us (~90 us
+      after 20 ms on a KVM guest), which the window absorbs, at the
+      price of up to 200 us of CPU per timed idle wait.  The
       first blocking wait on each host thread sets that thread's timer
       slack to 1 ns (Linux); a poll's timeout is still stretched by
       1/1000 of itself (100 us on a 100 ms block), which the window

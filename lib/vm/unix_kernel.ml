@@ -53,7 +53,11 @@ let syscall_name = function
 let all_syscalls =
   [ Getpid; Sbrk; Sigaction; Sigsetmask; Kill; Sigpause; Setitimer; Read; Aioread; Write ]
 
-type timer = origin Timer_wheel.timer
+(* What an armed timer posts when it expires, and its period (0 for a
+   one-shot). *)
+type timer_info = { signo : int; interval : int; origin : origin }
+
+type timer = timer_info Timer_heap.elt
 
 type t = {
   prof : Cost_model.profile;
@@ -66,12 +70,10 @@ type t = {
   mutable pending_bits : Sigset.t;
   pending_code : int array;
   pending_origin : origin array;
-  (* All interval timers live in a hierarchical timing wheel: O(1)
-     amortized arm/disarm/advance, so a million timed waits do not turn
-     every checkpoint into a linear scan.  Expiry posts the timer's tag
-     (the signal number) with its payload (the origin). *)
-  timers : origin Timer_wheel.t;
-  fire_timer : timer -> unit;  (* built once: [check_events] runs per checkpoint *)
+  (* All interval timers live in one deadline heap: O(log n)
+     arm/disarm/expiry and an O(1) exact earliest expiry, so a million
+     timed waits do not turn every checkpoint into a linear scan. *)
+  timers : timer_info Timer_heap.t;
   mutable io_queue : io_req list;
       (* in flight, in (complete_at, submission) order: the due ones are
          a prefix, and the head is the next completion *)
@@ -110,38 +112,32 @@ let create ?clock prof =
   let dispositions = Array.make (Sigset.max_signo + 1) Default in
   let pending_code = Array.make (Sigset.max_signo + 1) 0 in
   let pending_origin = Array.make (Sigset.max_signo + 1) External in
-  let timers = Timer_wheel.create External in
   let traps_by_sys = Array.make (List.length all_syscalls) 0 in
-  let rec t =
-    {
-      prof;
-      clk;
-      pid = 1001;
-      dispositions;
-      mask = Sigset.empty;
-      pending_bits = Sigset.empty;
-      pending_code;
-      pending_origin;
-      timers;
-      fire_timer =
-        (fun tm -> post t (Timer_wheel.tag tm) 0 (Timer_wheel.payload tm));
-      io_queue = [];
-      io_done = [];
-      io_ready = ignore;
-      traps_by_sys;
-      traps_total = 0;
-      n_sigsetmask = 0;
-      n_posted = 0;
-      n_lost = 0;
-      n_delivered = 0;
-      n_window_traps = 0;
-      blocked_io_ns = 0;
-      trap_fault_hook = None;
-      n_trap_faults = 0;
-      signal_wakes = (fun _ -> true);
-    }
-  in
-  t
+  {
+    prof;
+    clk;
+    pid = 1001;
+    dispositions;
+    mask = Sigset.empty;
+    pending_bits = Sigset.empty;
+    pending_code;
+    pending_origin;
+    timers = Timer_heap.create ();
+    io_queue = [];
+    io_done = [];
+    io_ready = ignore;
+    traps_by_sys;
+    traps_total = 0;
+    n_sigsetmask = 0;
+    n_posted = 0;
+    n_lost = 0;
+    n_delivered = 0;
+    n_window_traps = 0;
+    blocked_io_ns = 0;
+    trap_fault_hook = None;
+    n_trap_faults = 0;
+    signal_wakes = (fun _ -> true);
+  }
 
 let profile t = t.prof
 let clock t = t.clk
@@ -264,17 +260,18 @@ let deliver_pending t =
 
 let arm_timer t ~after_ns ~interval_ns ~signo ~origin =
   trap t Setitimer;
-  Timer_wheel.arm t.timers ~now:(now t) ~after_ns ~interval_ns ~tag:signo origin
+  Timer_heap.push t.timers
+    ~key:(now t + max 0 after_ns)
+    { signo; interval = interval_ns; origin }
 
 let disarm_timer t tm =
   trap t Setitimer;
-  ignore (Timer_wheel.disarm t.timers tm : bool)
+  ignore (Timer_heap.remove t.timers tm : bool)
 
 (* Pure observation — no trap, no time charge: used by tests to assert a
    completed wait left nothing armed. *)
-let armed_timer_count t = Timer_wheel.armed t.timers
-let armed_timer_peak t = Timer_wheel.peak_armed t.timers
-let timer_cascades t = Timer_wheel.cascades t.timers
+let armed_timer_count t = Timer_heap.length t.timers
+let armed_timer_peak t = Timer_heap.peak_length t.timers
 
 let blocking_read t ~latency_ns =
   trap t Read;
@@ -306,10 +303,21 @@ let rec complete_due t time =
 
 let check_events t =
   let time = now t in
-  (* Timers: the wheel fires everything due, in (expiry, id) order — a
-     deterministic order the prepend-to-a-list representation could not
-     give (it fired same-tick timers in reverse-arm order). *)
-  Timer_wheel.advance t.timers ~now:time ~fire:t.fire_timer;
+  (* Timers fire in (expiry, arm) order, the heap's own.  An interval
+     timer re-arms at the first multiple of its period strictly after
+     [time]: missed periods collapse into one firing, the BSD catch-up
+     of a slow consumer.  That is always later than [time], so no timer
+     fires twice in one check. *)
+  while Timer_heap.min_key t.timers <= time do
+    let tm = Timer_heap.pop t.timers in
+    let { signo; interval; origin } = Timer_heap.value tm in
+    if interval > 0 then begin
+      let e = Timer_heap.key tm in
+      Timer_heap.reinsert t.timers tm
+        ~key:(e + ((((time - e) / interval) + 1) * interval))
+    end;
+    post t signo 0 origin
+  done;
   complete_due t time
 
 let set_io_ready t f = t.io_ready <- f
@@ -325,15 +333,10 @@ let take_io_completion t ~requester =
 let completion_requesters t =
   List.fold_left (fun acc r -> if List.mem r acc then acc else acc @ [ r ]) [] t.io_done
 
-(* The wheel reports a bucket deadline — a lower bound that becomes exact
-   once the nearest timer has cascaded to level 0.  Callers that advance
-   the clock here and re-run [check_events] converge in at most
-   [Timer_wheel.levels] refinements; the clock never overshoots a real
-   event. *)
 let next_event_time t =
   match t.io_queue with
-  | io :: _ -> min (Timer_wheel.next_expiry t.timers) io.complete_at
-  | [] -> Timer_wheel.next_expiry t.timers
+  | io :: _ -> min (Timer_heap.min_key t.timers) io.complete_at
+  | [] -> Timer_heap.min_key t.timers
 
 (* Accounting --------------------------------------------------------- *)
 

@@ -167,16 +167,11 @@ val disarm_timer : t -> timer -> unit
 
 val armed_timer_count : t -> int
 (** Timers currently armed (one-shots not yet fired plus interval timers).
-    Pure observation: no trap, no time charge; O(1) (a wheel counter, not a
-    list walk). *)
+    Pure observation: no trap, no time charge; O(1) (the deadline heap's
+    length, not a list walk). *)
 
 val armed_timer_peak : t -> int
 (** High-water mark of {!armed_timer_count} over the kernel's lifetime. *)
-
-val timer_cascades : t -> int
-(** Total inter-level timer migrations performed by the timing wheel — at
-    most [Timer_wheel.levels] per timer ever armed; benchmarks report it to
-    show arm/disarm/advance stay O(1) amortized. *)
 
 val submit_io : t -> latency_ns:int -> requester:int -> unit
 (** Submit an asynchronous I/O request completing after [latency_ns]; posts
@@ -222,13 +217,10 @@ val check_events : t -> unit
     Called by the library at every checkpoint. *)
 
 val next_event_time : t -> int
-(** Earliest future timer expiry or I/O completion, [max_int] if none — used by the
-    scheduler to advance the clock when all threads are blocked.  For
-    timers this is a timing-wheel bucket deadline: a lower bound on the
-    true expiry that becomes exact after the clock advances to it and
-    {!check_events} runs (at most [Timer_wheel.levels] such refinements per
-    event, each strictly later).  Never later than the true next event, so
-    advancing the clock to it is always safe. *)
+(** Earliest armed timer expiry or I/O completion, [max_int] if none — used
+    by the scheduler to advance the clock when all threads are blocked.
+    Exact: once the clock reaches it, {!check_events} fires that timer or
+    completes that I/O.  O(1). *)
 
 (** {1 Accounting} *)
 

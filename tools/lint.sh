@@ -84,7 +84,7 @@ if [ -n "$hits" ]; then
 fi
 
 # 7. No module-level mutable state in the engine, the kernel or the
-#    timing wheel.  Shards run engines on parallel domains, so a cache
+#    timer heap.  Shards run engines on parallel domains, so a cache
 #    added for speed must live in the engine or kernel record: a top-level
 #    [let x = ref ...], [Hashtbl.create], [Array.make] (or the like) is
 #    shared by every domain.  A value-binding's right-hand side is read
@@ -97,7 +97,7 @@ hits=$(awk '
     if (rhs ~ /^[[:space:]]*$/) pending = 1
     else if (rhs ~ re) print FILENAME ":" FNR ": " $0
   }' re='^[[:space:]]*(ref[[:space:](]|(Hashtbl|Queue|Stack|Buffer|Atomic)\.create|Atomic\.make|Array\.(make|init)|Bytes\.(make|create))' \
-  lib/pthreads/engine.ml lib/vm/unix_kernel.ml lib/vm/timer_wheel.ml)
+  lib/pthreads/engine.ml lib/vm/unix_kernel.ml lib/vm/timer_heap.ml)
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits" >&2
   echo "lint: module-level mutable state — keep it in the engine or kernel record (shards run engines on parallel domains)" >&2
@@ -198,6 +198,19 @@ hits=$(grep -roE --include='*.ml' --include='*.mli' "[A-Za-z_][A-Za-z0-9_']*" \
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits" >&2
   echo "lint: export with no use outside its module — delete it, use it, or allowlist it with a reason in tools/lint.sh" >&2
+  fail=1
+fi
+
+# 14. One heap.  Every deadline in the library, the kernel's timers and
+#     the engine's timed waiters alike, lives in Vm.Timer_heap, whose
+#     earliest key is exact.  No timing wheel (its bucket deadlines made
+#     every idle wait a round of refinements), no cascade and no second
+#     hand-written sift may come back anywhere else in lib/.
+hits=$(grep -rniE --include='*.ml' --include='*.mli' --include='*.c' \
+  'timer_wheel|cascade|sift' lib/ | grep -v '^lib/vm/timer_heap\.mli\?:')
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: a second timer index in lib/ — keep deadlines in Vm.Timer_heap" >&2
   fail=1
 fi
 
