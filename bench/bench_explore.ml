@@ -76,7 +76,7 @@ let explore ?config name mk =
   | None -> ());
   (result.E.stats, secs)
 
-let no_reduction = { E.default_config with dpor = false; sleep_sets = false }
+let no_reduction = { E.default_config with dpor = false }
 
 let bench ~full_budget (s : S.t) =
   let stats, secs = explore s.name s.make in

@@ -1,6 +1,5 @@
 open Pthreads
 open Pthreads.Types
-module Rng = Vm.Rng
 module IntSet = Set.Make (Int)
 
 (* ------------------------------------------------------------------ *)
@@ -21,14 +20,13 @@ let failure_kind_to_string = function
   | Main_raised m -> "main raised: " ^ m
   | Bad_exit n -> Printf.sprintf "main exited with status %d" n
 
-let verdict ?(fail_on_nonzero_exit = true) eng =
+let verdict eng =
   match Invariant.check_final eng with
   | Some v -> Some (Invariant_violated v)
   | None -> (
       match Pthread.main_status eng with
       | Some (Failed e) -> Some (Main_raised (Printexc.to_string e))
-      | Some (Exited n) when n <> 0 && fail_on_nonzero_exit ->
-          Some (Bad_exit n)
+      | Some (Exited n) when n <> 0 -> Some (Bad_exit n)
       | Some (Exited _ | Canceled) | None -> None)
 
 let of_stop_reason = function
@@ -54,22 +52,9 @@ type stats = {
 
 type result = { failure : failure option; stats : stats }
 
-type config = {
-  max_runs : int;
-  max_steps : int;
-  dpor : bool;
-  sleep_sets : bool;
-  fail_on_nonzero_exit : bool;
-}
+type config = { max_runs : int; max_steps : int; dpor : bool }
 
-let default_config =
-  {
-    max_runs = 100_000;
-    max_steps = 5_000;
-    dpor = true;
-    sleep_sets = true;
-    fail_on_nonzero_exit = true;
-  }
+let default_config = { max_runs = 100_000; max_steps = 5_000; dpor = true }
 
 (* A bare [touch] is conservatively a write: it marks "this step may
    mutate user object [id]", which is what both the explorer's dependence
@@ -160,7 +145,8 @@ let exec ~(mk : unit -> engine) ~(cfg : config) ~(pick : pick_ctx -> int) () =
     (match !steps with
     | s :: _ ->
         s.st_foot <- foot;
-        if cfg.sleep_sets then
+        (* only a DPOR pick puts threads to sleep *)
+        if !sleep <> [] then
           sleep :=
             List.filter
               (fun (t, f) -> not (dependent s.st_chosen foot t f))
@@ -202,7 +188,7 @@ let exec ~(mk : unit -> engine) ~(cfg : config) ~(pick : pick_ctx -> int) () =
     (match !steps with
     | s :: _ -> s.st_foot <- s.st_foot @ foot
     | [] -> ());
-    match verdict ~fail_on_nonzero_exit:cfg.fail_on_nonzero_exit eng with
+    match verdict eng with
     | Some kind -> Failed_run kind
     | None -> Completed
   in
@@ -221,7 +207,7 @@ let exec ~(mk : unit -> engine) ~(cfg : config) ~(pick : pick_ctx -> int) () =
 let schedule_of steps = Schedule.of_list (List.map (fun s -> s.st_chosen) steps)
 
 (* ------------------------------------------------------------------ *)
-(* Forced runs (replay, shrinking)                                     *)
+(* Forced runs (replay, shrinking) and sampler-facing single runs      *)
 (* ------------------------------------------------------------------ *)
 
 let run_forced ?(config = default_config) mk (sched : Schedule.t) ~strict =
@@ -238,19 +224,9 @@ let run_forced ?(config = default_config) mk (sched : Schedule.t) ~strict =
     end
     else default_pick ctx
   in
-  let cfg = { config with sleep_sets = false } in
-  match exec ~mk ~cfg ~pick () with
+  match exec ~mk ~cfg:config ~pick () with
   | steps, outcome -> (steps, outcome, !diverged)
   | exception Diverged k -> ([], Completed, Some k)
-
-let replay ?(config = default_config) mk sched =
-  let steps, outcome, diverged = run_forced ~config mk sched ~strict:false in
-  let kind = match outcome with Failed_run k -> Some k | _ -> None in
-  (kind, List.length steps, diverged)
-
-(* ------------------------------------------------------------------ *)
-(* Sampler-facing single runs                                          *)
-(* ------------------------------------------------------------------ *)
 
 type outcome = Ok_run | Failed of failure_kind | Cut_run
 
@@ -260,9 +236,8 @@ let outcome_of_run_end = function
   | Cut -> Cut_run
 
 let run_once ?(config = default_config) ~pick mk =
-  let cfg = { config with sleep_sets = false } in
   let pick ctx = pick ~k:ctx.pc_k ~enabled:ctx.pc_enabled ~prev:ctx.pc_prev in
-  let steps, outcome = exec ~mk ~cfg ~pick () in
+  let steps, outcome = exec ~mk ~cfg:config ~pick () in
   (schedule_of steps, outcome_of_run_end outcome)
 
 let force ?(config = default_config) ~strict mk (sched : Schedule.t) =
@@ -280,10 +255,11 @@ let force ?(config = default_config) ~strict mk (sched : Schedule.t) =
    and finally re-record the complete decision list of the shrunk run so
    the emitted schedule replays without any reliance on the default
    policy.  The two passes are exposed as pure functions over an abstract
-   failing predicate so samplers (and tests) can reuse them. *)
+   failing predicate and any element type, so samplers, the fault soak
+   (which shrinks injection plans) and tests reuse them. *)
 
 module Shrink = struct
-  let prefix_search ~fails (full : int array) =
+  let prefix_search ~fails full =
     if Array.length full = 0 then full
     else begin
       let sub l = Array.sub full 0 l in
@@ -297,7 +273,7 @@ module Shrink = struct
       if fails (sub !lo) then sub !lo else full
     end
 
-  let splice_pass ~fails (a : int array) =
+  let splice_pass ~fails a =
     let cur = ref a in
     let i = ref (Array.length a - 1) in
     while !i >= 0 do
@@ -330,9 +306,8 @@ end
 
 let shrink_failure ?(config = default_config) ?fails mk kind0
     (full : Schedule.t) =
-  let cfg = { config with sleep_sets = false } in
   let default_fails (prefix : Schedule.t) =
-    match run_forced ~config:cfg mk prefix ~strict:true with
+    match run_forced ~config mk prefix ~strict:true with
     | _, Failed_run _, None -> true
     | _ -> false
   in
@@ -341,7 +316,7 @@ let shrink_failure ?(config = default_config) ?fails mk kind0
     { kind = kind0; schedule = full; first_schedule = full }
   else
     let minimal = Shrink.minimize ~fails full in
-    match run_forced ~config:cfg mk minimal ~strict:true with
+    match run_forced ~config mk minimal ~strict:true with
     | steps, Failed_run kind, None ->
         { kind; schedule = schedule_of steps; first_schedule = full }
     | steps, (Completed | Pruned | Cut), None ->
@@ -390,7 +365,7 @@ let run ?(config = default_config) mk =
           "Explore: program is not deterministic (forced choice not enabled)";
       (* siblings explored earlier go to sleep for this branch; a branch
          whose own choice is already asleep is redundant *)
-      if cfg.sleep_sets then
+      if cfg.dpor then
         IntSet.iter
           (fun d ->
             if d <> c then
@@ -554,7 +529,7 @@ let run_parallel ?(config = default_config) ?record ~domains mk =
       if ctx.pc_k < plen then begin
         (* siblings explored earlier go to sleep for this branch; a branch
            whose own choice is already asleep is redundant *)
-        if cfg.sleep_sets then
+        if cfg.dpor then
           List.iter
             (fun (t, f) -> ctx.pc_sleep_add t f)
             (Frontier.sleep_at it ctx.pc_k);
@@ -625,50 +600,6 @@ let run_parallel ?(config = default_config) ?record ~domains mk =
         pruned = !pruned;
         complete = exhausted = None && !failure = None;
         exhausted;
-      };
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Random sampling                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let sample ?(config = default_config) ?(runs = 100) ~seed mk =
-  let master = Rng.create seed in
-  let total_steps = ref 0 and max_depth = ref 0 in
-  let failure = ref None in
-  let done_runs = ref 0 and cut = ref 0 in
-  let cfg = { config with sleep_sets = false } in
-  (try
-     for i = 0 to runs - 1 do
-       (* each walk gets its own stream, re-derivable from (seed, i) *)
-       let rng = Rng.fork master i in
-       let pick ctx =
-         List.nth ctx.pc_enabled (Rng.int rng (List.length ctx.pc_enabled))
-       in
-       incr done_runs;
-       let steps, outcome = exec ~mk ~cfg ~pick () in
-       let n = List.length steps in
-       total_steps := !total_steps + n;
-       if n > !max_depth then max_depth := n;
-       match outcome with
-       | Failed_run kind ->
-           failure := Some (make_failure ~cfg ~mk kind steps);
-           raise Exit
-       | Cut -> incr cut
-       | Completed | Pruned -> ()
-     done
-   with Exit -> ());
-  {
-    failure = !failure;
-    stats =
-      {
-        runs = !done_runs;
-        steps = !total_steps;
-        max_depth = !max_depth;
-        pruned = 0;
-        complete = false;
-        (* sampling never claims exhaustiveness; it has no frontier *)
-        exhausted = Some { ex_frontier = 0; ex_cut_runs = !cut };
       };
   }
 

@@ -12,9 +12,9 @@
     sets.  {!run_parallel} performs the same reduction but distributes the
     frontier of backtrack points across OCaml domains (see {!Frontier}),
     with a deterministic batch-merge so results are independent of the
-    domain count.  {!sample} random-walks instead, for state spaces too
-    large to exhaust; {!Sample} (the sibling module) adds PCT priority
-    scheduling with a detection-probability bound.  All modes check
+    domain count.  For state spaces too large to exhaust, {!Sample} (the
+    sibling module) samples schedules instead, by PCT priority scheduling
+    or a uniform random walk.  All modes check
     {!Invariant} at every decision point and shrink any failing schedule
     to a minimal replayable counterexample. *)
 
@@ -27,12 +27,10 @@ type failure_kind =
 
 val failure_kind_to_string : failure_kind -> string
 
-val verdict :
-  ?fail_on_nonzero_exit:bool -> Pthreads.Types.engine -> failure_kind option
+val verdict : Pthreads.Types.engine -> failure_kind option
 (** How a run that finished ends: {!Invariant.check_final} first, then
     main's exit status — [Main_raised] for an uncaught exception,
-    [Bad_exit] for a nonzero status (when [fail_on_nonzero_exit], the
-    default).  [None] for a clean run. *)
+    [Bad_exit] for a nonzero status.  [None] for a clean run. *)
 
 val of_stop_reason : Pthreads.Types.stop_reason -> failure_kind
 (** A run that raised [Types.Process_stopped]: [Deadlocked] or [Killed]. *)
@@ -59,8 +57,8 @@ type stats = {
   complete : bool;  (** state space exhausted (no failure, no budget cut) *)
   exhausted : exhaustion option;
       (** [Some _] iff a budget truncated exploration: how much frontier
-          was left and how many runs were cut.  Always [Some _] for
-          sampling modes, [None] for an exhaustive or failing run. *)
+          was left and how many runs were cut.  [None] for an
+          exhaustive or failing run. *)
 }
 
 type result = { failure : failure option; stats : stats }
@@ -68,9 +66,9 @@ type result = { failure : failure option; stats : stats }
 type config = {
   max_runs : int;  (** exploration budget; exceeding it clears [complete] *)
   max_steps : int;  (** per-run decision budget (guards non-termination) *)
-  dpor : bool;  (** partial-order reduction (off = enumerate everything) *)
-  sleep_sets : bool;
-  fail_on_nonzero_exit : bool;  (** treat [main <> 0] as a failure *)
+  dpor : bool;
+      (** partial-order reduction with sleep sets (off = enumerate
+          everything) *)
 }
 
 val default_config : config
@@ -102,17 +100,6 @@ val run_parallel :
     budget-truncated exploration the two drivers may cover different
     subsets; on an unbounded budget both find a failure iff one exists. *)
 
-val sample :
-  ?config:config ->
-  ?runs:int ->
-  seed:int ->
-  (unit -> Pthreads.Types.engine) ->
-  result
-(** Random-walk sampling: [runs] independent runs, each choosing uniformly
-    among the ready threads with a stream forked from [seed].  Stops at the
-    first failure; [stats.complete] is always [false].  Prefer {!Sample},
-    which adds PCT scheduling, sanitizer integration and a report. *)
-
 (** {2 Sampler-facing primitives}
 
     Building blocks used by {!Sample} and by direct tests: run one
@@ -131,8 +118,8 @@ val run_once :
   Schedule.t * outcome
 (** One run under policy [pick] ([k] = decision index, [enabled] = ready
     tids in creation order, [prev] = previously dispatched tid).  Returns
-    the complete decision list actually taken and the outcome.  Sleep sets
-    are disabled: a sampled run never prunes. *)
+    the complete decision list actually taken and the outcome.  A sampled
+    run never prunes. *)
 
 val force :
   ?config:config ->
@@ -145,23 +132,26 @@ val force :
     [([||], Ok_run, Some k)]); with [~strict:false] the default policy
     fills in and the first divergence index is reported.  The returned
     schedule is the complete decision list of the forced run (the input
-    plus any default-policy tail). *)
+    plus any default-policy tail).  This is the one forced-run entry
+    point: {!Replay} is [~strict:false], shrinking is [~strict:true]. *)
 
 (** Pure shrinking passes over an abstract failing predicate.  [fails]
     must be deterministic; it is typically [force ~strict:true] composed
-    with an outcome check. *)
+    with an outcome check on a decision list, or a fault-plan run
+    ([Fault.Soak.shrink] minimizes injection lists with the same
+    passes). *)
 module Shrink : sig
-  val prefix_search : fails:(int array -> bool) -> int array -> int array
+  val prefix_search : fails:('a array -> bool) -> 'a array -> 'a array
   (** Shortest failing prefix by binary search.  Failure depth need not be
       monotone in prefix length, so the answer is verified and the full
       list returned when verification fails.  Requires [fails full]. *)
 
-  val splice : fails:(int array -> bool) -> int array -> int array
+  val splice : fails:('a array -> bool) -> 'a array -> 'a array
   (** Greedy single-element removal to a fixpoint: the result still
       satisfies [fails] and is 1-minimal (no single further removal
       does). *)
 
-  val minimize : fails:(int array -> bool) -> int array -> int array
+  val minimize : fails:('a array -> bool) -> 'a array -> 'a array
   (** [splice] after [prefix_search]. *)
 end
 
@@ -178,18 +168,6 @@ val shrink_failure :
     when the verdict lives outside the run outcome (e.g. a sanitizer
     report).  The failure [kind] is re-read from the shrunk run when it
     fails directly, else the supplied kind is kept. *)
-
-val replay :
-  ?config:config ->
-  (unit -> Pthreads.Types.engine) ->
-  Schedule.t ->
-  failure_kind option * int * int option
-(** [replay mk sched] re-executes [sched] and returns
-    [(outcome, steps, diverged_at)]: the failure it reproduced (if any),
-    the number of decisions taken, and the first index where the recorded
-    decision was not enabled ([None] for a faithful replay — which is what
-    a schedule recorded by this module always gives, determinism being the
-    point).  Prefer the {!Replay} wrapper in tests. *)
 
 val touch : Pthreads.Types.engine -> int -> unit
 (** Annotate the current step as touching user object [id].  Needed when a

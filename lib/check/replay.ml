@@ -5,8 +5,9 @@ type report = {
 }
 
 let run ?config mk sched =
-  let outcome, steps, diverged_at = Explore.replay ?config mk sched in
-  { outcome; steps; diverged_at }
+  let taken, outcome, diverged_at = Explore.force ?config ~strict:false mk sched in
+  let outcome = match outcome with Explore.Failed k -> Some k | _ -> None in
+  { outcome; steps = Schedule.length taken; diverged_at }
 
 let of_file ?config mk path =
   let ic = open_in path in

@@ -29,15 +29,9 @@ let method_to_string = function
   | Pct { depth } -> Printf.sprintf "pct(d=%d)" depth
   | Uniform -> "uniform"
 
-type config = {
-  runs : int;
-  max_steps : int;
-  fail_on_nonzero_exit : bool;
-  sanitize : bool;
-}
+type config = { runs : int; max_steps : int; sanitize : bool }
 
-let default_config =
-  { runs = 256; max_steps = 5_000; fail_on_nonzero_exit = true; sanitize = true }
+let default_config = { runs = 256; max_steps = 5_000; sanitize = true }
 
 type bound = {
   b_threads : int;
@@ -51,6 +45,7 @@ type report = {
   s_method : method_;
   s_seed : int;
   s_runs : int;
+  s_cut_runs : int;
   s_steps : int;
   s_max_depth : int;
   s_threads : int;
@@ -115,16 +110,10 @@ let run ?(config = default_config) ~method_ ~seed mk =
   | Pct { depth } when depth < 1 ->
       invalid_arg "Sample.run: PCT depth must be >= 1"
   | _ -> ());
-  let ecfg =
-    {
-      Explore.default_config with
-      max_steps = config.max_steps;
-      fail_on_nonzero_exit = config.fail_on_nonzero_exit;
-    }
-  in
+  let ecfg = { Explore.default_config with max_steps = config.max_steps } in
   let master = Rng.create seed in
   let total_steps = ref 0 and max_depth = ref 0 and max_threads = ref 0 in
-  let done_runs = ref 0 in
+  let done_runs = ref 0 and cut_runs = ref 0 in
   let failure = ref None and failure_index = ref None in
   let horizon = ref 64 in
   let mon = ref None in
@@ -183,6 +172,7 @@ let run ?(config = default_config) ~method_ ~seed mk =
            failure_index := Some i;
            raise Exit
        | Explore.Ok_run | Explore.Cut_run -> (
+           if outcome = Explore.Cut_run then incr cut_runs;
            match san_dirty () with
            | Some summary ->
                let kind =
@@ -219,6 +209,7 @@ let run ?(config = default_config) ~method_ ~seed mk =
     s_method = method_;
     s_seed = seed;
     s_runs = !done_runs;
+    s_cut_runs = !cut_runs;
     s_steps = !total_steps;
     s_max_depth = !max_depth;
     s_threads = !max_threads;

@@ -25,12 +25,12 @@ val method_to_string : method_ -> string
 type config = {
   runs : int;  (** sampling budget (runs executed unless a failure stops it) *)
   max_steps : int;  (** per-run decision budget *)
-  fail_on_nonzero_exit : bool;
   sanitize : bool;  (** attach {!Sanitize.Monitor} to every run *)
 }
 
 val default_config : config
-(** 256 runs, 5000 steps, nonzero exit fails, sanitizer on. *)
+(** 256 runs, 5000 steps, sanitizer on.  A nonzero exit status always
+    counts as a failure ({!Explore.verdict}). *)
 
 type bound = {
   b_threads : int;  (** n: most distinct threads seen in one run *)
@@ -46,6 +46,7 @@ type report = {
   s_method : method_;
   s_seed : int;
   s_runs : int;  (** runs executed (stops early on the first failure) *)
+  s_cut_runs : int;  (** runs cut by [max_steps] *)
   s_steps : int;
   s_max_depth : int;
   s_threads : int;

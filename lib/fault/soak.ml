@@ -5,10 +5,7 @@ type config = {
   seeds : int list;
   budget : int;
   kinds : Plan.kinds;
-  check_invariants : bool;
   sanitize : bool;
-  pct_depth : int option;
-  pct_runs : int;
 }
 
 let default_config =
@@ -16,10 +13,7 @@ let default_config =
     seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ];
     budget = 6;
     kinds = Plan.safe_kinds;
-    check_invariants = true;
     sanitize = true;
-    pct_depth = None;
-    pct_runs = 64;
   }
 
 type failure = {
@@ -29,7 +23,6 @@ type failure = {
   f_plan : Plan.t;
   f_first_plan : Plan.t;
   f_san : Sanitize.Report.t option;
-  f_sched : Check.Schedule.t option;
 }
 
 type report = {
@@ -40,7 +33,7 @@ type report = {
   r_failures : failure list;
 }
 
-let run_full ?(check_invariants = true) ?(sanitize = true) ~mk (plan : Plan.t) =
+let run_full ?(sanitize = true) ~mk (plan : Plan.t) =
   let eng = mk () in
   (* The first invariant violation wins regardless of how the run ends:
      injected faults routinely push a broken program into a secondary
@@ -48,7 +41,7 @@ let run_full ?(check_invariants = true) ?(sanitize = true) ~mk (plan : Plan.t) =
      the signal. *)
   let violation = ref None in
   let on_point _k =
-    if check_invariants && !violation = None then
+    if !violation = None then
       match Check.Invariant.check eng with
       | Some v -> violation := Some v
       | None -> ()
@@ -78,54 +71,29 @@ let run_full ?(check_invariants = true) ?(sanitize = true) ~mk (plan : Plan.t) =
   in
   (outcome, Inject.points inj, Inject.injected inj, san)
 
-let run_one ?check_invariants ?sanitize ~mk (plan : Plan.t) =
-  let outcome, points, injected, _ =
-    run_full ?check_invariants ?sanitize ~mk plan
-  in
+let run_one ?sanitize ~mk (plan : Plan.t) =
+  let outcome, points, injected, _ = run_full ?sanitize ~mk plan in
   (outcome, points, injected)
 
-let shrink ?(check_invariants = true) ?sanitize ~mk (plan0 : Plan.t) =
+let shrink ?sanitize ~mk (plan0 : Plan.t) =
   let fails p =
-    match run_one ~check_invariants ?sanitize ~mk p with
+    match run_one ?sanitize ~mk (Array.to_list p) with
     | Some _, _, _ -> true
     | None, _, _ -> false
   in
-  (* shortest failing prefix, by binary search *)
-  let arr = Array.of_list plan0 in
-  let prefix k = Array.to_list (Array.sub arr 0 k) in
-  let lo = ref 1 and hi = ref (Array.length arr) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if fails (prefix mid) then hi := mid else lo := mid + 1
-  done;
-  let cur = ref (prefix !lo) in
-  (* greedy single-injection drops until nothing more can go *)
-  let again = ref true in
-  while !again do
-    again := false;
-    let n = List.length !cur in
-    let i = ref 0 in
-    while (not !again) && !i < n do
-      let candidate = List.filteri (fun j _ -> j <> !i) !cur in
-      if fails candidate then begin
-        cur := candidate;
-        again := true
-      end
-      else incr i
-    done
-  done;
-  match run_one ~check_invariants ?sanitize ~mk !cur with
-  | Some kind, _, _ -> (!cur, kind)
+  let plan = Array.to_list (E.Shrink.minimize ~fails (Array.of_list plan0)) in
+  match run_one ?sanitize ~mk plan with
+  | Some kind, _, _ -> (plan, kind)
   | None, _, _ ->
-      (* cannot happen: [cur] failed on its last [fails] check and runs
-         are deterministic *)
+      (* cannot happen: [plan] failed on its last [fails] check (or is
+         [plan0], which fails) and runs are deterministic *)
       assert false
 
 (* The sanitizer report of a (shrunk) failing plan, for the [.san]
    artifact: [None] when sanitizing is off or the monitored re-run found
    nothing (e.g. a pure invariant failure). *)
-let san_of_plan ~check_invariants ~mk plan =
-  let _, _, _, san = run_full ~check_invariants ~sanitize:true ~mk plan in
+let san_of_plan ~mk plan =
+  let _, _, _, san = run_full ~sanitize:true ~mk plan in
   match san with
   | Some r when not (Sanitize.Report.is_clean r) -> Some r
   | Some _ | None -> None
@@ -137,11 +105,8 @@ let soak ?(config = default_config) (scenarios : Check.Scenarios.t list) =
   List.iter
     (fun (s : Check.Scenarios.t) ->
       let mk = s.Check.Scenarios.make in
-      let check_invariants = config.check_invariants in
       let sanitize = config.sanitize in
-      let base_outcome, base_points, _ =
-        run_one ~check_invariants ~sanitize ~mk []
-      in
+      let base_outcome, base_points, _ = run_one ~sanitize ~mk [] in
       incr runs;
       points := !points + base_points;
       match base_outcome with
@@ -155,10 +120,7 @@ let soak ?(config = default_config) (scenarios : Check.Scenarios.t list) =
               f_kind = kind;
               f_plan = [];
               f_first_plan = [];
-              f_san =
-                (if sanitize then san_of_plan ~check_invariants ~mk []
-                 else None);
-              f_sched = None;
+              f_san = (if sanitize then san_of_plan ~mk [] else None);
             }
       | None ->
           List.iter
@@ -167,16 +129,14 @@ let soak ?(config = default_config) (scenarios : Check.Scenarios.t list) =
                 Plan.random ~seed ~points:base_points ~budget:config.budget
                   config.kinds
               in
-              let outcome, pts, inj =
-                run_one ~check_invariants ~sanitize ~mk plan
-              in
+              let outcome, pts, inj = run_one ~sanitize ~mk plan in
               incr runs;
               points := !points + pts;
               injected := !injected + inj;
               match outcome with
               | None -> ()
               | Some _ ->
-                  let shrunk, kind = shrink ~check_invariants ~sanitize ~mk plan in
+                  let shrunk, kind = shrink ~sanitize ~mk plan in
                   record
                     {
                       f_scenario = s.Check.Scenarios.name;
@@ -185,49 +145,9 @@ let soak ?(config = default_config) (scenarios : Check.Scenarios.t list) =
                       f_plan = shrunk;
                       f_first_plan = plan;
                       f_san =
-                        (if sanitize then
-                           san_of_plan ~check_invariants ~mk shrunk
-                         else None);
-                      f_sched = None;
+                        (if sanitize then san_of_plan ~mk shrunk else None);
                     })
-            config.seeds;
-          (* PCT mode: soak the schedule dimension too.  Fault plans
-             perturb the program at fault points; PCT perturbs the
-             scheduler itself, so the two probe independent bug classes.
-             A PCT finding carries a replayable schedule instead of a
-             plan. *)
-          (match config.pct_depth with
-          | None -> ()
-          | Some depth ->
-              List.iter
-                (fun seed ->
-                  let scfg =
-                    {
-                      Check.Sample.default_config with
-                      runs = config.pct_runs;
-                      sanitize;
-                    }
-                  in
-                  let r =
-                    Check.Sample.run ~config:scfg
-                      ~method_:(Check.Sample.Pct { depth })
-                      ~seed mk
-                  in
-                  runs := !runs + r.Check.Sample.s_runs;
-                  match r.Check.Sample.s_failure with
-                  | None -> ()
-                  | Some f ->
-                      record
-                        {
-                          f_scenario = s.Check.Scenarios.name;
-                          f_seed = seed;
-                          f_kind = f.E.kind;
-                          f_plan = [];
-                          f_first_plan = [];
-                          f_san = None;
-                          f_sched = Some f.E.schedule;
-                        })
-                config.seeds))
+            config.seeds)
     scenarios;
   {
     r_scenarios = List.length scenarios;
@@ -252,14 +172,11 @@ let default_suite =
 let json_of_failure f =
   Printf.sprintf
     "{\"scenario\": %S, \"seed\": %d, \"kind\": %S, \"injections\": %d, \
-     \"san\": %S, \"sched_len\": %s}"
+     \"san\": %S}"
     f.f_scenario f.f_seed
     (E.failure_kind_to_string f.f_kind)
     (Plan.length f.f_plan)
     (match f.f_san with Some r -> Sanitize.Report.summary r | None -> "clean")
-    (match f.f_sched with
-    | Some s -> string_of_int (Check.Schedule.length s)
-    | None -> "null")
 
 let json_of_report r =
   Printf.sprintf
@@ -278,12 +195,9 @@ let pp_report ppf r =
       Format.fprintf ppf "%d failure(s):" (List.length fs);
       List.iter
         (fun f ->
-          Format.fprintf ppf "@   %s (seed %d): %s, %s" f.f_scenario f.f_seed
+          Format.fprintf ppf "@   %s (seed %d): %s, %d injection(s)"
+            f.f_scenario f.f_seed
             (E.failure_kind_to_string f.f_kind)
-            (match f.f_sched with
-            | Some s ->
-                Printf.sprintf "%d-step schedule" (Check.Schedule.length s)
-            | None ->
-                Printf.sprintf "%d injection(s)" (Plan.length f.f_plan)))
+            (Plan.length f.f_plan))
         fs);
   Format.fprintf ppf "@]"

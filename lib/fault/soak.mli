@@ -3,33 +3,27 @@
     For each scenario: one clean calibration run counts the fault points
     and checks the program is sound unperturbed; then one run per seed
     under a {!Plan.random} plan, with [Check.Invariant] asserted at every
-    fault point.  A failing plan is shrunk — binary search on the shortest
-    failing prefix, then greedy single-injection drops, the same recipe
-    [Check.Explore] uses on schedules — to a minimal [.fault]
-    counterexample that {!run_one} re-executes deterministically. *)
+    fault point (and finally).  A failing plan is shrunk by
+    [Check.Explore.Shrink.minimize], the passes that shrink schedules
+    (binary search on the shortest failing prefix, then greedy
+    single-injection drops to a fixpoint), to a minimal [.fault]
+    counterexample that {!run_one} re-executes deterministically.
+
+    The soak perturbs the program, not the scheduler: to sample schedules
+    as well, run [Check.Sample] on the same scenarios. *)
 
 type config = {
   seeds : int list;  (** one perturbed run per seed per scenario *)
   budget : int;  (** injections drawn per plan *)
   kinds : Plan.kinds;
-  check_invariants : bool;
-      (** assert [Check.Invariant] at every fault point (and finally) *)
   sanitize : bool;
       (** run every execution under [Sanitize.Monitor]: races, lock-order
           cycles and held-at-exit leaks are reported alongside invariant
           failures, and failing plans carry a [.san]-able report *)
-  pct_depth : int option;
-      (** when [Some d], additionally soak the {e schedule} dimension:
-          [pct_runs] PCT runs ([Check.Sample], depth [d]) per seed per
-          scenario.  Fault plans perturb the program, PCT perturbs the
-          scheduler — independent bug classes.  [None] (default) keeps
-          the classic fault-only soak. *)
-  pct_runs : int;  (** PCT sampling budget per (scenario, seed) *)
 }
 
 val default_config : config
-(** Seeds 1–10, budget 6, {!Plan.safe_kinds}, invariants and sanitizer
-    on; PCT off, 64 runs when enabled. *)
+(** Seeds 1–10, budget 6, {!Plan.safe_kinds}, sanitizer on. *)
 
 type failure = {
   f_scenario : string;
@@ -40,10 +34,6 @@ type failure = {
   f_san : Sanitize.Report.t option;
       (** sanitizer findings of the shrunk run, when any — written next to
           the [.fault] artifact as a [.san] file by the demo/CI *)
-  f_sched : Check.Schedule.t option;
-      (** PCT-mode findings only: the shrunk decision list, replayable
-          with [Check.Replay] and serializable as a [.sched] artifact
-          (the plan fields are then empty) *)
 }
 
 type report = {
@@ -55,7 +45,6 @@ type report = {
 }
 
 val run_one :
-  ?check_invariants:bool ->
   ?sanitize:bool ->
   mk:(unit -> Pthreads.Types.engine) ->
   Plan.t ->
@@ -68,7 +57,6 @@ val run_one :
     "sanitizer: ..."] outcome. *)
 
 val run_full :
-  ?check_invariants:bool ->
   ?sanitize:bool ->
   mk:(unit -> Pthreads.Types.engine) ->
   Plan.t ->
@@ -77,7 +65,6 @@ val run_full :
     ([None] only when [sanitize:false]). *)
 
 val shrink :
-  ?check_invariants:bool ->
   ?sanitize:bool ->
   mk:(unit -> Pthreads.Types.engine) ->
   Plan.t ->

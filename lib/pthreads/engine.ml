@@ -507,6 +507,25 @@ let live_thread eng tid =
   | Some t when Tcb.is_live t -> t
   | Some _ | None -> nil_tcb
 
+(* Action rule 4: install a fake call to the handler, which runs when [t]
+   next resumes.  Shared by every signal with a handler, the SIGIO
+   doorbell's fallback included. *)
+let install_fake_call eng t s code h_mask h_fn =
+  charge eng Costs.fake_call_setup;
+  eng.n_thread_signals <- eng.n_thread_signals + 1;
+  if tracing eng then trace eng t (Trace.Signal_delivered s);
+  t.fake_frames <-
+    Fake_handler { fh_signo = s; fh_code = code; fh_mask = h_mask; fh_fn = h_fn }
+    :: t.fake_frames;
+  match t.state with
+  | Blocked (On_mutex _ | On_start | On_suspend | On_shared _ | On_await) ->
+      (* a mutex wait is not an interruption point, and a suspended
+         thread stays suspended: the handler runs at
+         acquisition/resumption *)
+      ()
+  | Blocked _ -> unblock eng t Wake_interrupted
+  | Ready | Running | Terminated -> ()
+
 (* Recipient resolution (6 rules) and action resolution (7 rules), straight
    from the paper's "Signal Handling" section.  A signal travels as its
    three fields; a [pending_sig] record is built only where one is stored
@@ -603,18 +622,7 @@ and act_on eng t s code origin =
         iter_threads eng wake_waiter;
       if not !woke_any then
         match eng.actions.(s) with
-        | Sig_handler { h_mask; h_fn } ->
-            charge eng Costs.fake_call_setup;
-            eng.n_thread_signals <- eng.n_thread_signals + 1;
-            if tracing eng then trace eng t (Trace.Signal_delivered s);
-            t.fake_frames <-
-              Fake_handler
-                { fh_signo = s; fh_code = code; fh_mask = h_mask; fh_fn = h_fn }
-              :: t.fake_frames;
-            (match t.state with
-            | Blocked (On_mutex _ | On_start | On_suspend) -> ()
-            | Blocked _ -> unblock eng t Wake_interrupted
-            | Ready | Running | Terminated -> ())
+        | Sig_handler { h_mask; h_fn } -> install_fake_call eng t s code h_mask h_fn
         | Sig_ignore | Sig_default -> () (* SIGIO default: ignore *)
     end
     else
@@ -624,25 +632,9 @@ and act_on eng t s code origin =
           sigwait_deliver eng t s
       | _ -> (
           match eng.actions.(s) with
-          | Sig_handler { h_mask; h_fn } -> (
-              (* action rule 4: install a fake call *)
-              charge eng Costs.fake_call_setup;
-              eng.n_thread_signals <- eng.n_thread_signals + 1;
-              if tracing eng then trace eng t (Trace.Signal_delivered s);
-              t.fake_frames <-
-                Fake_handler
-                  { fh_signo = s; fh_code = code; fh_mask = h_mask; fh_fn = h_fn }
-                :: t.fake_frames;
-              match t.state with
-              | Blocked
-                  (On_mutex _ | On_start | On_suspend | On_shared _ | On_await)
-                ->
-                  (* a mutex wait is not an interruption point, and a
-                     suspended thread stays suspended: the handler runs at
-                     acquisition/resumption *)
-                  ()
-              | Blocked _ -> unblock eng t Wake_interrupted
-              | Ready | Running | Terminated -> ())
+          | Sig_handler { h_mask; h_fn } ->
+              (* action rule 4 *)
+              install_fake_call eng t s code h_mask h_fn
           | Sig_ignore -> () (* action rule 6 *)
           | Sig_default ->
               (* action rule 7: default action on the process *)
@@ -1165,7 +1157,16 @@ let run_scheduler eng =
             let next =
               min (Unix_kernel.next_event_time eng.vm) (sleep_next_deadline eng)
             in
-            let engine_next = if next = max_int then None else Some next in
+            let engine_next =
+              if next = max_int then None
+              else
+                match eng.idle_deadline with
+                | Some d as boxed when d = next -> boxed
+                | _ ->
+                    let boxed = Some next in
+                    eng.idle_deadline <- boxed;
+                    boxed
+            in
             (* the backend sleeps until the next event, which is exact:
                the virtual one advances the clock to the deadline
                (deadlock when there is none); the Unix one blocks in
@@ -1296,7 +1297,7 @@ let make ?clock ?backend ?main cfg =
     | None -> Backend.virtual_ ?clock cfg.profile
   in
   let vm = backend.Backend.kernel in
-  let heap = Heap.create vm ~use_pool:cfg.use_pool () in
+  let heap = Heap.create vm ~use_pool:cfg.use_pool in
   let trace_rec = Trace.create () in
   Trace.set_enabled trace_rec cfg.trace_enabled;
   let main_tcb =
@@ -1349,6 +1350,7 @@ let make ?clock ?backend ?main cfg =
       probes = [];
       chooser = perverted_chooser rng cfg.perverted;
       ready_view = [||];
+      idle_deadline = None;
       census_mutexes = nil_mutex;
       census_mutexes_last = nil_mutex;
       census_conds = nil_cond;

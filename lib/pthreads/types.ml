@@ -455,6 +455,10 @@ type engine = {
           [None] on every run that schedules by priority alone *)
   mutable ready_view : tcb array;
       (** reusable buffer behind [Engine.ready_view] *)
+  mutable idle_deadline : int option;
+      (** the last deadline the idle loop passed to [Backend.wait], kept
+          boxed so the loop, which spins inside the unix polling window,
+          allocates only when the deadline changes *)
   mutable census_mutexes : mutex;
       (** oldest mutex of the invariant checker's census (intrusive
           through [m_census_next], creation order; [nil_mutex] when

@@ -1,7 +1,5 @@
 type t = {
   k : Unix_kernel.t;
-  chunk_bytes : int;
-  slab_bytes : int;
   mutable arena_free : int;
   mutable brk : int;
   mutable pool : int;
@@ -18,9 +16,13 @@ let malloc_insns = 500
 let free_insns = 200
 let pool_insns = 12
 
-let create k ?(chunk_bytes = 256 * 1024) ?(slab_bytes = 17 * 1024) ~use_pool () =
-  { k; chunk_bytes; slab_bytes; arena_free = 0; brk = 0; pool = 0;
-    pool_enabled = use_pool; n_allocs = 0; live_slabs = 0; peak_slabs = 0 }
+(* Arena-growth granularity, and the size of one TCB+stack slab. *)
+let chunk_bytes = 256 * 1024
+let slab_bytes = 17 * 1024
+
+let create k ~use_pool =
+  { k; arena_free = 0; brk = 0; pool = 0; pool_enabled = use_pool;
+    n_allocs = 0; live_slabs = 0; peak_slabs = 0 }
 
 let use_pool t = t.pool_enabled
 
@@ -28,7 +30,7 @@ let alloc t bytes =
   t.n_allocs <- t.n_allocs + 1;
   Unix_kernel.insns t.k malloc_insns;
   if bytes > t.arena_free then begin
-    let grow = max t.chunk_bytes bytes in
+    let grow = max chunk_bytes bytes in
     Unix_kernel.sbrk t.k grow;
     t.brk <- t.brk + grow;
     t.arena_free <- t.arena_free + grow
@@ -41,7 +43,7 @@ let free t bytes =
 
 let preallocate t n =
   for _ = 1 to n do
-    alloc t t.slab_bytes;
+    alloc t slab_bytes;
     t.pool <- t.pool + 1
   done
 
@@ -58,12 +60,12 @@ let acquire_slab t =
     (* pool exhausted: the slab (TCB + stack, contiguous) is carved from
        the arena in one allocation and will be returned to the pool, so the
        arena only ever grows to the high-water mark of live threads *)
-    alloc t t.slab_bytes
+    alloc t slab_bytes
   else begin
     (* pool disabled (the ablation): the naive path — TCB and stack are
        separate allocations *)
     alloc t tcb_bytes;
-    alloc t (t.slab_bytes - tcb_bytes)
+    alloc t (slab_bytes - tcb_bytes)
   end
 
 let release_slab t =
@@ -74,7 +76,7 @@ let release_slab t =
   end
   else begin
     free t tcb_bytes;
-    free t (t.slab_bytes - tcb_bytes)
+    free t (slab_bytes - tcb_bytes)
   end
 
 let pool_size t = t.pool

@@ -22,10 +22,9 @@
 
 type t
 
-val create :
-  Unix_kernel.t -> ?chunk_bytes:int -> ?slab_bytes:int -> use_pool:bool -> unit -> t
-(** [chunk_bytes] is the arena-growth granularity (default 256 KiB);
-    [slab_bytes] the size of one TCB+stack slab (default 17 KiB). *)
+val create : Unix_kernel.t -> use_pool:bool -> t
+(** The arena grows by 256 KiB at a time; one TCB+stack slab is
+    17 KiB. *)
 
 val use_pool : t -> bool
 

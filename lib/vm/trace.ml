@@ -36,19 +36,13 @@ type t = {
 let dummy = { t_ns = 0; tid = 0; tname = ""; kind = Note "" }
 let initial_size = 256
 
-let create ?capacity () =
-  (match capacity with
-  | Some c when c <= 0 -> invalid_arg "Trace.create: capacity must be positive"
-  | _ -> ());
-  let size =
-    match capacity with Some c -> min c initial_size | None -> initial_size
-  in
+let create () =
   {
-    buf = Array.make size dummy;
+    buf = Array.make initial_size dummy;
     start = 0;
     len = 0;
     enabled = false;
-    cap_limit = capacity;
+    cap_limit = None;
     dropped = 0;
   }
 

@@ -39,9 +39,8 @@ type t
 (** A growable ring buffer of events.  Recording writes into preallocated
     slots — no per-event allocation beyond the event record itself. *)
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] bounds the buffer: once full, recording overwrites the
-    oldest event (counted by {!dropped}).  Unbounded by default. *)
+val create : unit -> t
+(** Unbounded until {!set_capacity} bounds it. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit

@@ -111,7 +111,7 @@ let test_cancel_cond_wait_leak_found () =
    the verdict while running strictly fewer schedules. *)
 let test_dpor_reduction () =
   let full =
-    E.run ~config:{ E.default_config with dpor = false; sleep_sets = false }
+    E.run ~config:{ E.default_config with dpor = false }
       S.micro_two.make
   in
   let dpor = E.run S.micro_two.make in
@@ -124,10 +124,19 @@ let test_dpor_reduction () =
     true
     (dpor.stats.runs < full.stats.runs)
 
+(* A uniform random walk without the monitor, whose lock-order
+   prediction would report the cycle before any sampled run deadlocks. *)
 let test_sampling_finds_deadlock () =
-  let r = E.sample ~runs:200 ~seed:7 S.deadlock_ab.make in
-  let f = found r in
-  check bool "sampling is never exhaustive" false r.stats.complete;
+  let config = { Check.Sample.default_config with runs = 200; sanitize = false } in
+  let r =
+    Check.Sample.run ~config ~method_:Check.Sample.Uniform ~seed:7
+      S.deadlock_ab.make
+  in
+  let f =
+    match r.Check.Sample.s_failure with
+    | Some f -> f
+    | None -> Alcotest.fail "expected the sampler to find the deadlock"
+  in
   let rep = Check.Replay.run S.deadlock_ab.make f.schedule in
   match rep.outcome with
   | Some (E.Deadlocked _) -> check bool "replay faithful" true (rep.diverged_at = None)
@@ -260,7 +269,7 @@ let test_parallel_covers_all_final_states () =
     let cfg = { E.default_config with max_runs = 500_000 } in
     let r =
       match mode with
-      | `Full -> E.run ~config:{ cfg with dpor = false; sleep_sets = false } mk
+      | `Full -> E.run ~config:{ cfg with dpor = false } mk
       | `Seq -> E.run ~config:cfg mk
       | `Par -> E.run_parallel ~config:cfg ~domains:2 mk
     in
@@ -322,7 +331,7 @@ let test_dpor_net_pipe_differential () =
     (r.stats.runs, List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) finals []))
   in
   let full_runs, full =
-    collect { E.default_config with dpor = false; sleep_sets = false }
+    collect { E.default_config with dpor = false }
   in
   let dpor_runs, dpor = collect E.default_config in
   check bool "both byte assignments reachable" true (List.length full = 2);
@@ -402,6 +411,13 @@ let test_budget_exhaustion_reported () =
 
 let test_step_budget_cut_reported () =
   let cfg = { E.default_config with max_steps = 3 } in
+  let sampled =
+    Check.Sample.run
+      ~config:{ Check.Sample.runs = 5; max_steps = 3; sanitize = false }
+      ~method_:Check.Sample.Uniform ~seed:7 S.three_two.make
+  in
+  check bool "sampling: cut runs counted" true
+    (sampled.Check.Sample.s_cut_runs > 0);
   List.iter
     (fun (what, (r : E.result)) ->
       check bool (what ^ ": not complete") false r.stats.complete;
@@ -412,7 +428,6 @@ let test_step_budget_cut_reported () =
     [
       ("sequential", E.run ~config:cfg S.three_two.make);
       ("parallel", E.run_parallel ~config:cfg ~domains:2 S.three_two.make);
-      ("sampling", E.sample ~config:cfg ~runs:5 ~seed:7 S.three_two.make);
     ]
 
 (* -------------------------------------------------------------------- *)

@@ -9,7 +9,7 @@ module Clock = Vm.Clock
 
 let mk ~use_pool =
   let k = K.create Cost_model.sparc_ipx in
-  (k, Heap.create k ~use_pool ())
+  (k, Heap.create k ~use_pool)
 
 let test_alloc_sbrk () =
   let k, h = mk ~use_pool:false in

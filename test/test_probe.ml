@@ -406,6 +406,28 @@ let test_machine_idles_through_backend () =
   check bool "the shared clock advanced" true
     (Vm.Clock.now (Machine.clock m) >= 1_000_000)
 
+(* An idle unix engine blocks until the last 200 us before a deadline and
+   then spins its idle loop until the deadline, so a pass of that loop
+   must not allocate: the boxed deadline is reused while it is unchanged.
+   A loop that boxed it on every pass allocated 700-1,100 words per 1 ms
+   delay. *)
+let test_unix_delay_idle_words () =
+  let n = 50 and words = ref nan in
+  ignore
+    (Pthreads.run ~backend:(Pthreads.unix_backend ~forward_signals:[] ())
+       (fun proc ->
+         Pthread.delay proc ~ns:1_000_000;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to n do
+           Pthread.delay proc ~ns:1_000_000
+         done;
+         words := (Gc.minor_words () -. w0) /. float_of_int n;
+         0));
+  Printf.printf "unix 1 ms delay: %.1f words/delay (budget 100)\n" !words;
+  check bool
+    (Printf.sprintf "a 1 ms delay allocates %.1f words, under 100" !words)
+    true (!words < 100.)
+
 let suite =
   [
     ( "probe",
@@ -424,5 +446,7 @@ let suite =
           test_subscribers_see_registration_order;
         tc "sanitizer detach keeps the injector" test_detach_keeps_other_subscribers;
         tc "machine idles through the backend" test_machine_idles_through_backend;
+        tc "unix: a 1 ms delay allocates under 100 minor words"
+          test_unix_delay_idle_words;
       ] );
   ]

@@ -295,34 +295,24 @@ let shrink_qcheck =
 (* -------------------------------------------------------------------- *)
 
 let test_soak_pct_mode () =
-  (* the fault soak's schedule dimension: with PCT on, the unfixed lost
-     wakeup falls out as a replayable schedule even though no fault plan
-     perturbs it (sanitizer off so the clean calibration run passes) *)
-  let config =
-    {
-      Fault.Soak.default_config with
-      seeds = [ seed ];
-      sanitize = false;
-      pct_depth = Some 3;
-      pct_runs = 1000;
-    }
+  (* the schedule dimension the fault soak leaves to the sampler: PCT
+     finds the unfixed lost wakeup, which no fault plan is needed for, as
+     a replayable schedule (sanitizer off, as in the soak's clean
+     calibration) *)
+  let r =
+    Sm.run ~config:(plain ~runs:1000) ~method_:(Sm.Pct { depth = 3 }) ~seed
+      (S.lost_wakeup ~fixed:false).S.make
   in
-  let r = Fault.Soak.soak ~config [ S.lost_wakeup ~fixed:false ] in
-  match
-    List.filter (fun f -> f.Fault.Soak.f_sched <> None) r.Fault.Soak.r_failures
-  with
-  | [] -> Alcotest.fail "PCT soak missed the lost wakeup"
-  | f :: _ ->
-      (match f.Fault.Soak.f_kind with
+  match r.Sm.s_failure with
+  | None -> Alcotest.fail "PCT missed the lost wakeup"
+  | Some f ->
+      (match f.E.kind with
       | E.Deadlocked _ -> ()
       | k ->
           Alcotest.failf "expected a deadlock, got %s"
             (E.failure_kind_to_string k));
-      check bool "no plan on a schedule finding" true
-        (f.Fault.Soak.f_plan = []);
-      let sched = Option.get f.Fault.Soak.f_sched in
-      let rep = Check.Replay.run (S.lost_wakeup ~fixed:false).S.make sched in
-      check bool "soak schedule replays" true
+      let rep = Check.Replay.run (S.lost_wakeup ~fixed:false).S.make f.E.schedule in
+      check bool "sampled schedule replays" true
         (rep.Check.Replay.diverged_at = None
         && match rep.Check.Replay.outcome with
            | Some (E.Deadlocked _) -> true

@@ -425,6 +425,43 @@ let test_set_action_rejects_sigcancel () =
          0));
   ()
 
+(* Action rule 4 for the SIGIO doorbell's fallback: a task await, like a
+   mutex wait, is not an interruption point, so a SIGIO handler installed
+   on a thread blocked in [Shard.await] runs when the await returns, not
+   when the I/O completes. *)
+let test_sigio_handler_keeps_shard_await () =
+  ignore
+    (run_main (fun proc ->
+         let ran_at = ref None in
+         Signal_api.set_action proc Sigset.sigio
+           (Types.Sig_handler
+              {
+                h_mask = Sigset.empty;
+                h_fn = (fun ~signo:_ ~code:_ -> ran_at := Some (Pthread.now proc));
+              });
+         let t0 = Pthread.now proc in
+         Signal_api.aio_submit proc ~latency_ns:1_000_000;
+         let task =
+           Shard.spawn proc (fun p ->
+               Pthread.delay p ~ns:10_000_000;
+               7)
+         in
+         (match Shard.await proc task with
+         | Types.Exited 7 -> ()
+         | _ -> Alcotest.fail "await returned the wrong status");
+         let returned = Pthread.now proc - t0 in
+         (match !ran_at with
+         | None -> Alcotest.fail "the SIGIO handler never ran"
+         | Some at ->
+             check bool
+               (Printf.sprintf "handler ran after the task (%d ns >= 10 ms)"
+                  (at - t0))
+               true
+               (at - t0 >= 10_000_000));
+         check bool "await lasted the task" true (returned >= 10_000_000);
+         0));
+  ()
+
 let suite =
   [
     ( "signals",
@@ -451,5 +488,7 @@ let suite =
         tc "handler longjmp redirect" test_handler_longjmp_redirect;
         tc "handler interrupts sleep" test_handler_interrupts_sleep;
         tc "SIGCANCEL protected" test_set_action_rejects_sigcancel;
+        tc "a SIGIO handler does not interrupt a Shard await"
+          test_sigio_handler_keeps_shard_await;
       ] );
   ]

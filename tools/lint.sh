@@ -214,4 +214,20 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# 15. One copy of each checking mechanism.  Check.Sample is the one
+#     sampler (no random walk inside Explore), Explore.Shrink the one
+#     shrinker (the fault soak minimizes plans with it), Explore.force the
+#     one forced run.  The switches nobody turned off stay gone: sleep
+#     sets go with DPOR, a nonzero exit always fails, the soak always
+#     checks invariants, and schedule sampling is Check.Sample's, not the
+#     soak's.
+hits=$( (grep -rnE --include='*.ml' --include='*.mli' \
+    'sleep_sets|fail_on_nonzero_exit|check_invariants|pct_depth' lib/
+  grep -nE '^let[[:space:]]+(rec[[:space:]]+)?sample\b' lib/check/explore.ml) )
+if [ -n "$hits" ]; then
+  printf '%s\n' "$hits" >&2
+  echo "lint: a second sampler or a removed checking option in lib/ — use Check.Sample / Explore.Shrink" >&2
+  fail=1
+fi
+
 exit $fail
